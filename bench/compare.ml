@@ -27,16 +27,14 @@
    reported but never fail the gate (benchmarks come and go across
    PRs); I/O or parse problems exit with status 2.
 
-   Kernels whose name contains "svc-", "par-", "store-wal" or
-   "store-recover" are advisory: the first time a request round-trip
-   over a real Unix socket, the second fan work across OCaml domains,
-   and the store durability pair append to and replay real files — all
-   dominated by scheduling or filesystem latency rather than CPU work,
-   far too wall-clock-bound to gate on (on shared hardware the par-
-   scaling kernels swing ±30% run to run, and a WAL append's cost is
-   mostly the page cache's mood).  Their deltas are printed (and the
-   baseline records them for trajectory tracking) but they never fail
-   the gate.
+   Advisory kernels are declared by the bench itself: CURRENT.json's
+   "advisory" object flags each kernel, and a flagged kernel's delta
+   is printed (and the baseline records it for trajectory tracking)
+   but never fails the gate.  bench/main.ml flags the kernels that
+   time a request round-trip over a real socket or append to and
+   replay real files — dominated by scheduling or filesystem latency
+   rather than CPU work, far too wall-clock-bound to gate on (a WAL
+   append's cost is mostly the page cache's mood).
 
    The service round-trip latency quantiles recorded by the bench's
    [bench.svc-*] histograms are printed as a second advisory section,
@@ -53,7 +51,7 @@ let fail fmt =
       exit 2)
     fmt
 
-let read_timings path =
+let read_json path =
   let text =
     match In_channel.with_open_text path In_channel.input_all with
     | s -> s
@@ -61,36 +59,39 @@ let read_timings path =
   in
   match Json.of_string text with
   | Error msg -> fail "%s: %s" path msg
-  | Ok json -> (
-      match Json.member "timings_ns_per_run" json with
-      | Some (Json.Obj kvs) ->
-          List.filter_map
-            (fun (k, v) ->
-              match v with Json.Num ns -> Some (k, ns) | _ -> None)
-            kvs
-      | _ -> fail "%s: no timings_ns_per_run object" path)
+  | Ok json -> json
+
+let read_timings path =
+  match Json.member "timings_ns_per_run" (read_json path) with
+  | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> match v with Json.Num ns -> Some (k, ns) | _ -> None)
+        kvs
+  | _ -> fail "%s: no timings_ns_per_run object" path
+
+(* The kernels a results file flags advisory; a file written before
+   the flag existed flags none. *)
+let read_advisory path =
+  match Json.member "advisory" (read_json path) with
+  | Some (Json.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> if v = Json.Bool true then Some k else None)
+        kvs
+  | _ -> []
 
 (* The [bench.svc-*] histograms of a results file: client-observed
    round-trip milliseconds per service kernel. *)
 let read_service_histograms path =
-  let text =
-    match In_channel.with_open_text path In_channel.input_all with
-    | s -> s
-    | exception Sys_error msg -> fail "%s" msg
-  in
-  match Json.of_string text with
-  | Error msg -> fail "%s: %s" path msg
-  | Ok json -> (
-      match
-        Option.bind
-          (Json.member "metrics" json)
-          (Json.member "histograms")
-      with
-      | Some (Json.Obj kvs) ->
-          List.filter
-            (fun (name, _) -> String.starts_with ~prefix:"bench.svc-" name)
-            kvs
-      | _ -> [])
+  match
+    Option.bind
+      (Json.member "metrics" (read_json path))
+      (Json.member "histograms")
+  with
+  | Some (Json.Obj kvs) ->
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"bench.svc-" name)
+        kvs
+  | _ -> []
 
 let hfield stats k =
   match Json.member k stats with Some (Json.Num n) -> Some n | _ -> None
@@ -178,7 +179,8 @@ let () =
   match paths with
   | [ baseline_path; current_path ] ->
       let baseline = read_timings baseline_path
-      and current = read_timings current_path in
+      and current = read_timings current_path
+      and advisory = read_advisory current_path in
       Format.printf "%-34s %14s %14s %9s@." "kernel" "baseline ns"
         "current ns" "delta";
       let regressions = ref [] in
@@ -187,18 +189,7 @@ let () =
           match List.assoc_opt name baseline with
           | None -> Format.printf "%-34s %14s %14.0f %9s@." name "-" cur "new"
           | Some base ->
-              let advisory =
-                (* e.g. "argus/svc-roundtrip", "argus/par-exp-b" *)
-                let contains sub =
-                  let n = String.length name and m = String.length sub in
-                  let rec at i =
-                    i + m <= n && (String.sub name i m = sub || at (i + 1))
-                  in
-                  at 0
-                in
-                contains "svc-" || contains "par-"
-                || contains "store-wal" || contains "store-recover"
-              in
+              let advisory = List.mem name advisory in
               let pct = (cur -. base) /. base *. 100. in
               let flag =
                 if pct > threshold && advisory then "  (advisory)"

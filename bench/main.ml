@@ -30,7 +30,6 @@ module Wellformed = Argus_gsn.Wellformed
 module Pattern = Argus_patterns.Pattern
 module Proofgen = Argus_proofgen.Proofgen
 module Modular = Argus_gsn.Modular
-module Pool = Argus_par.Pool
 module Store = Argus_store.Store
 module Wal = Argus_store.Wal
 module Recover = Argus_store.Recover
@@ -279,7 +278,7 @@ let deep_case =
 
 (* A 16-module collection: each module is a small self-contained case,
    chained by away goals (module i cites module i+1's root), so both
-   the per-module well-formedness fan-out and the cross-module rules
+   the per-module well-formedness passes and the cross-module rules
    have work to do. *)
 let bench_modular =
   let module Node = Argus_gsn.Node in
@@ -409,23 +408,23 @@ let rec bench_rm_rf path =
   | _ -> ( try Sys.remove path with Sys_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-(* A par-* kernel owns its pool only for the duration of its own
-   measurement (Bechamel's [uniq] resource): parked worker domains are
-   not free — while any live, every minor collection is a multi-domain
-   stop-the-world handshake, which benches allocation-heavy sequential
-   kernels ~2x slower.  Scoping the pool to the kernel keeps the
-   sequential timings honest. *)
-let par_kernel ~name ~jobs f =
-  let open Bechamel in
-  Test.make_with_resource ~name Test.uniq
-    ~allocate:(fun () -> Pool.create ~jobs ())
-    ~free:Pool.shutdown (Staged.stage f)
+(* Kernels whose time is dominated by scheduling or the filesystem
+   rather than CPU work — a request round-trip over a real socket, a
+   WAL append, a replay of real files — are declared advisory where
+   they are defined.  The results file records the flag per kernel,
+   and compare.exe prints their deltas without ever gating on them. *)
+let advisory_kernels = ref []
+
+let advisory name =
+  advisory_kernels := ("argus/" ^ name) :: !advisory_kernels;
+  name
 
 (* A svc-* kernel owns a running [argus serve] instance on a loopback
    Unix socket plus one persistent client connection; each run is one
-   request/response round-trip through the real wire protocol.  Like
-   the par-* pools, the server is scoped to the kernel's own
-   measurement so its worker domain does not tax the others. *)
+   request/response round-trip through the real wire protocol.  The
+   server is scoped to the kernel's own measurement (Bechamel's [uniq]
+   resource) so its worker domain does not tax the other kernels.
+   Always advisory. *)
 let svc_kernel ~name ~queue_capacity req_line =
   let open Bechamel in
   (* Client-side round-trip latency, observed per run into the
@@ -433,7 +432,7 @@ let svc_kernel ~name ~queue_capacity req_line =
      carries the p50/p99 that end up in results.json and the README's
      service numbers. *)
   let h_rtt = Argus_obs.Metrics.Histogram.make ("bench." ^ name) in
-  Test.make_with_resource ~name Test.uniq
+  Test.make_with_resource ~name:(advisory name) Test.uniq
     ~allocate:(fun () ->
       let path =
         Filename.concat
@@ -571,9 +570,6 @@ let bench_subjects =
   in
   let small_exp_a = { Exp_a.default_config with Exp_a.subjects_per_arm = 5 } in
   let small_exp_d = { Exp_d.default_config with Exp_d.trials_per_arm = 20 } in
-  let greenwell_args =
-    List.map (fun i -> i.Greenwell.argument) Greenwell.corpus
-  in
   (* Compiled kernels (DESIGN.md §13): program and query compiled once,
      case interned once — the amortised steady state a service or a
      corpus sweep runs in.  The *-vs-interpreted / intern-cost kernels
@@ -660,7 +656,7 @@ let bench_subjects =
         let f, tr = bench_ltl_combined in
         ignore (Argus_ltl.Ltl.holds tr f)));
     Test.make ~name:"modular-wf-16" (Staged.stage (fun () ->
-        ignore (Fused.check_modular bench_modular)));
+        ignore (Fused.check_modular ~lints:false bench_modular)));
     (* Incremental store (DESIGN.md §14).  The pair to read together:
        [store-full-recheck-100k] is what every edit used to cost —
        re-intern the whole case and run the fused checker — and
@@ -744,8 +740,7 @@ let bench_subjects =
        data dir whose WAL holds one ~110k-node put — Marshal decode,
        re-intern, and Merkle digest verification, the same work
        `argus serve --store --data-dir` does before its first accept.
-       Both touch the filesystem, so compare.exe treats them as
-       advisory (see the store- rule there). *)
+       Both touch the filesystem, so they are advisory. *)
     (let seq = ref 0 in
      let edit =
        [
@@ -754,7 +749,7 @@ let bench_subjects =
              "operating region 42 mode 7 remains safe after the rework" );
        ]
      in
-     Test.make_with_resource ~name:"store-wal-append" Test.uniq
+     Test.make_with_resource ~name:(advisory "store-wal-append") Test.uniq
        ~allocate:(fun () ->
          let dir = bench_tmp_dir "wal" in
          (dir, Wal.openw ~sync:Wal.Never (Recover.wal_path dir)))
@@ -769,7 +764,7 @@ let bench_subjects =
                 op = Wal.Patch (String.make 32 'a', edit);
                 digest = String.make 32 'b';
               })));
-    Test.make_with_resource ~name:"store-recover-100k" Test.uniq
+    Test.make_with_resource ~name:(advisory "store-recover-100k") Test.uniq
       ~allocate:(fun () ->
         let dir = bench_tmp_dir "recover" in
         let case = store_case_100k () in
@@ -787,29 +782,6 @@ let bench_subjects =
            match Recover.load ~dir () with
            | Ok outcome -> ignore outcome.Recover.store
            | Error msg -> failwith msg));
-    (* Parallel-runtime kernels (argus.par): same workloads as their
-       sequential counterparts above, fanned out over a pool.  Results
-       are bit-identical to sequential by the pool's determinism
-       contract, so these time only the runtime. *)
-    par_kernel ~name:"par-exp-a-small" ~jobs:4 (fun pool ->
-        ignore (Exp_a.run ~pool small_exp_a));
-    par_kernel ~name:"par-exp-b" ~jobs:4 (fun pool ->
-        ignore (Exp_b.run ~pool Exp_b.default_config));
-    par_kernel ~name:"par-exp-e" ~jobs:4 (fun pool ->
-        ignore (Exp_e.run ~pool Exp_e.default_config));
-    par_kernel ~name:"par-greenwell-corpus-check" ~jobs:4 (fun pool ->
-        ignore (Formal.check_many ~pool greenwell_args));
-    par_kernel ~name:"par-modular-wf-16" ~jobs:4 (fun pool ->
-        ignore (Fused.check_modular ~pool bench_modular));
-    (* Jobs scaling: the same kernel at 1, 2 and 4 workers.  On a
-       single-core host jobs=1 wins and the curve is flat — that is
-       the point of recording it. *)
-    par_kernel ~name:"par-exp-e-jobs1" ~jobs:1 (fun pool ->
-        ignore (Exp_e.run ~pool Exp_e.default_config));
-    par_kernel ~name:"par-exp-e-jobs2" ~jobs:2 (fun pool ->
-        ignore (Exp_e.run ~pool Exp_e.default_config));
-    par_kernel ~name:"par-exp-e-jobs4" ~jobs:4 (fun pool ->
-        ignore (Exp_e.run ~pool Exp_e.default_config));
     (* Budget overhead: the same workloads as [figure1-resolution] and
        [dpll-sat] but threaded through a limited budget generous enough
        never to exhaust — what the probe points cost when armed.  The
@@ -877,6 +849,11 @@ let write_results ?path timings =
         ("schema", Json.Str "argus-bench/1");
         ( "timings_ns_per_run",
           Json.Obj (List.map (fun (n, ns) -> (n, Json.Num ns)) timings) );
+        ( "advisory",
+          Json.Obj
+            (List.map
+               (fun (n, _) -> (n, Json.Bool (List.mem n !advisory_kernels)))
+               timings) );
         ("metrics", Argus_obs.Metrics.to_json ());
       ]
   in

@@ -194,73 +194,27 @@ let check_cmd =
        fresh budget from the spec, and the ["check.file"] fault probe
        (keyed by basename) fires before any work so tests can kill one
        file of a batch deterministically. *)
-    let check_file ?pool path =
+    let check_file path =
       Fault.point ~key:(Filename.basename path) "check.file";
       let budget = budget_of_spec spec in
-      let report ds =
-        let ds = ds @ budget_diags budget in
-        (render_report ds, "", exit_of_diags ds)
-      in
-      let report_err ds =
-        match format with
-        | `Text -> ("", Format.asprintf "%a" Diagnostic.pp_report ds, 1)
-        | `Json -> (render_report ds, "", 1)
-      in
-      let lint structure =
-        if with_lints then Fused.lint ?budget (Caseir.intern structure)
-        else []
-      in
-      match Dsl.parse_collection ~filename:path (read_file path) with
-      | Error ds -> report_err ds
-      | Ok [ case ] when case.Dsl.module_name = None ->
-          (* The single-case fast path: intern once, run well-formedness
-             and the lints as one fused pass over the IR. *)
-          let fused =
-            Fused.check ~ruleset ?budget ~lints:with_lints
-              (Caseir.intern case.Dsl.structure)
-          in
-          let ds =
-            fused.Fused.wf @ Dsl.validate_metadata case @ fused.Fused.informal
-          in
-          report ds
-      | Ok cases -> (
-          match Dsl.to_modular cases with
-          | Error ds -> report_err ds
-          | Ok collection ->
-              let ds =
-                Argus_gsn.Modular.check ?pool collection
-                @ List.concat_map Dsl.validate_metadata cases
-                @ List.concat_map (fun c -> lint c.Dsl.structure) cases
-              in
-              report ds)
+      match
+        Handlers.check_source ~ruleset ~lints:with_lints ?budget
+          ~filename:path (read_file path)
+      with
+      | Ok ds -> (render_report ds, "", exit_of_diags ds)
+      | Error ds -> (
+          match format with
+          | `Text -> ("", Format.asprintf "%a" Diagnostic.pp_report ds, 1)
+          | `Json -> (render_report ds, "", 1))
     in
     let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Argus_par.Pool.default_jobs ()
+      match jobs with Some n -> n | None -> Argus_par.Pool.default_jobs ()
     in
     (* Fault isolation: one file crashing (a bug, or an injected fault)
        becomes that file's own internal-error report with exit code 2;
        every other file in the batch is still checked and printed, in
        input order. *)
-    let capture f =
-      try Ok (f ())
-      with e ->
-        let backtrace = Printexc.get_raw_backtrace () in
-        Error { Argus_par.Pool.exn = e; backtrace }
-    in
-    let results =
-      if jobs <= 1 then
-        List.map (fun p -> capture (fun () -> check_file p)) paths
-      else
-        Argus_par.Pool.with_pool ~jobs (fun pool ->
-            match paths with
-            | [ p ] ->
-                (* A single file still uses the pool inside the
-                   modular-collection check. *)
-                [ capture (fun () -> check_file ~pool p) ]
-            | _ -> Argus_par.Pool.map_list_result ~pool check_file paths)
-    in
+    let results = Argus_par.Pool.map_list_result ~jobs check_file paths in
     let internal_error path (f : Argus_par.Pool.failure) =
       let d =
         Diagnostic.errorf ~code:"rt/internal-error"
@@ -653,35 +607,23 @@ let survey_cmd =
 
 let experiments_cmd =
   let open Argus_experiments in
-  let run () which seed jobs =
+  let run () which seed =
     spanned "argus.experiments" @@ fun () ->
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Argus_par.Pool.default_jobs ()
-    in
-    let with_pool f =
-      (* Results are pool-independent by construction (per-trial PRNG
-         streams); the pool only changes who runs the trials. *)
-      if jobs <= 1 then f None
-      else Argus_par.Pool.with_pool ~jobs (fun pool -> f (Some pool))
-    in
-    with_pool @@ fun pool ->
     let run_a () =
       Format.printf "%a@." Exp_a.pp
-        (Exp_a.run ?pool { Exp_a.default_config with seed })
+        (Exp_a.run { Exp_a.default_config with seed })
     and run_b () =
       Format.printf "%a@." Exp_b.pp
-        (Exp_b.run ?pool { Exp_b.default_config with seed })
+        (Exp_b.run { Exp_b.default_config with seed })
     and run_c () =
       Format.printf "%a@." Exp_c.pp
-        (Exp_c.run ?pool { Exp_c.default_config with seed })
+        (Exp_c.run { Exp_c.default_config with seed })
     and run_d () =
       Format.printf "%a@." Exp_d.pp
-        (Exp_d.run ?pool { Exp_d.default_config with seed })
+        (Exp_d.run { Exp_d.default_config with seed })
     and run_e () =
       Format.printf "%a@." Exp_e.pp
-        (Exp_e.run ?pool { Exp_e.default_config with seed })
+        (Exp_e.run { Exp_e.default_config with seed })
     in
     (match which with
     | "a" -> run_a ()
@@ -704,19 +646,9 @@ let experiments_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some (positive_int_conv "--jobs")) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Split simulation trials across $(docv) worker domains \
-             (default: ARGUS_JOBS, else the machine's recommended domain \
-             count).  Results are bit-identical for any $(docv).")
-  in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the Section VI experiment simulations")
-    Term.(const run $ obs_t $ which $ seed $ jobs)
+    Term.(const run $ obs_t $ which $ seed)
 
 (* --- serve / call ---
 

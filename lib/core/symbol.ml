@@ -4,8 +4,8 @@ type t = int
    array so [name] is an O(1) load.  Interning mutates both under a
    mutex so DSL parsing inside pool workers is safe; [name] reads the
    array without the lock — a symbol handed to another domain is always
-   published through a synchronising channel (the pool's task queue),
-   which makes its entry visible. *)
+   published through a synchronising channel (a domain join, or the
+   server's request queue), which makes its entry visible. *)
 let table : (string, int) Hashtbl.t = Hashtbl.create 256
 let names : string array ref = ref (Array.make 256 "")
 let next = ref 0

@@ -1,7 +1,6 @@
 module Prop = Argus_logic.Prop
 module Formal = Argus_fallacy.Formal
 module Greenwell = Argus_fallacy.Greenwell
-module Pool = Argus_par.Pool
 
 type config = {
   seed : int;
@@ -143,14 +142,12 @@ let seeded_counts corpus =
         (f, i) argument)
     (0, 0) corpus
 
-let run_arm ?pool cfg rng duty corpus =
+let run_arm cfg rng duty corpus =
   (* Each subject reviews with their own PRNG stream, indexed by
-     subject number, so splitting subjects across domains draws the
-     same numbers as the sequential loop. *)
+     subject number. *)
   let runs =
-    Pool.init ?pool cfg.subjects_per_arm (fun i ->
+    List.init cfg.subjects_per_arm (fun i ->
         review_subject cfg (Prng.stream rng i) duty corpus)
-    |> Array.to_list
   in
   let minutes = List.map (fun (m, _, _) -> m) runs in
   let formal_seeded, informal_seeded = seeded_counts corpus in
@@ -186,31 +183,30 @@ let reviewer_overlap cfg rng =
     { first_only = 0; second_only = 0; both = 0; neither = 0 }
     Greenwell.corpus
 
-let run ?pool cfg =
+let run cfg =
   let rng = Prng.create cfg.seed in
   let corpus = build_corpus cfg (Prng.split rng) in
-  let arm_i, minutes_i =
-    run_arm ?pool cfg (Prng.split rng) Informal_only corpus
-  in
-  let arm_b, minutes_b = run_arm ?pool cfg (Prng.split rng) Both corpus in
+  let arm_i, minutes_i = run_arm cfg (Prng.split rng) Informal_only corpus in
+  let arm_b, minutes_b = run_arm cfg (Prng.split rng) Both corpus in
   let overlap = reviewer_overlap cfg (Prng.split rng) in
   (* The tool arm: run the real detector over every seeded step — pure
-     per-step checks, merged by summing in step order. *)
-  let steps = Array.of_list (List.concat corpus) in
+     per-step checks, summed in step order. *)
   let seeded, found, fps =
-    Pool.map_reduce ?pool
-      ~map:(fun step ->
+    List.fold_left
+      (fun (a, b, c) step ->
         match step with
-        | Sound -> (0, 0, 0)
+        | Sound -> (a, b, c)
         | Formal_fallacy arg ->
-            (1, (if Formal.check_propositional arg <> [] then 1 else 0), 0)
+            ( a + 1,
+              (if Formal.check_propositional arg <> [] then b + 1 else b),
+              c )
         | Informal_fallacy inst ->
-            ( 0,
-              0,
-              if Formal.check_propositional inst.Greenwell.argument <> [] then 1
-              else 0 ))
-      ~combine:(fun (a, b, c) (a', b', c') -> (a + a', b + b', c + c'))
-      ~init:(0, 0, 0) steps
+            ( a,
+              b,
+              if Formal.check_propositional inst.Greenwell.argument <> [] then
+                c + 1
+              else c ))
+      (0, 0, 0) (List.concat corpus)
   in
   {
     config = cfg;

@@ -63,9 +63,9 @@ type result = {
           fallacies that the other flagged". *)
 }
 
-val run : ?pool:Argus_par.Pool.t -> config -> result
-(** Results are identical for any [?pool] (or none): subjects and
-    tool-arm steps use per-index PRNG streams and pure checks, merged
-    in index order. *)
+val run : config -> result
+(** Deterministic in [config.seed]: each subject draws from a
+    per-index PRNG stream, and tool-arm steps are pure checks summed
+    in step order. *)
 
 val pp : Format.formatter -> result -> unit

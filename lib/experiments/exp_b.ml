@@ -47,22 +47,19 @@ let task_minutes cfg rng subject ~task_index =
   done;
   !total
 
-let run ?pool cfg =
+let run cfg =
   let rng = Prng.create cfg.seed in
   let subjects =
     List.init cfg.n_subjects (fun _ -> { expertise = Prng.float rng })
   in
   (* Each subject's per-task times, in task order; subject [i] draws
-     from their own PRNG stream, so trajectories are identical whether
-     subjects run sequentially or across domains. *)
-  let subject_arr = Array.of_list subjects in
+     from their own PRNG stream. *)
   let trajectories =
-    Argus_par.Pool.mapi_array ?pool
+    List.mapi
       (fun i s ->
         let srng = Prng.stream rng i in
         (s, List.init cfg.n_tasks (fun k -> task_minutes cfg srng s ~task_index:k)))
-      subject_arr
-    |> Array.to_list
+      subjects
   in
   let task k = List.map (fun (_, ts) -> List.nth ts k) trajectories in
   let first = task 0 and last = task (cfg.n_tasks - 1) in

@@ -38,8 +38,8 @@ type result = {
           averaged over the subject pool. *)
 }
 
-val run : ?pool:Argus_par.Pool.t -> config -> result
-(** Deterministic for any [?pool]: each subject's trajectory draws from
-    a per-subject PRNG stream. *)
+val run : config -> result
+(** Deterministic in [config.seed]: each subject's trajectory draws
+    from a per-subject PRNG stream. *)
 
 val pp : Format.formatter -> result -> unit

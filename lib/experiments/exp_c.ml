@@ -75,19 +75,16 @@ let subject_run cfg rng role =
   (literate, informal_minutes, formal_minutes, informal_comprehension,
    formal_comprehension)
 
-let run ?pool cfg =
+let run cfg =
   let rng = Prng.create cfg.seed in
   let per_role =
     List.map
       (fun role ->
         let rng = Prng.split rng in
-        (* Subject [i] draws from stream [i] of the role's generator, so
-           the role's numbers do not depend on how subjects are split
-           across domains. *)
+        (* Subject [i] draws from stream [i] of the role's generator. *)
         let runs =
-          Argus_par.Pool.init ?pool cfg.subjects_per_role (fun i ->
+          List.init cfg.subjects_per_role (fun i ->
               subject_run cfg (Prng.stream rng i) role)
-          |> Array.to_list
         in
         let pick f = List.map f runs in
         {

@@ -55,8 +55,8 @@ type result = {
           shrinks with literacy, the audience-restriction signature. *)
 }
 
-val run : ?pool:Argus_par.Pool.t -> config -> result
-(** Deterministic for any [?pool]: each subject draws from a per-index
-    PRNG stream of their role's generator. *)
+val run : config -> result
+(** Deterministic in [config.seed]: each subject draws from a
+    per-index PRNG stream of their role's generator. *)
 
 val pp : Format.formatter -> result -> unit

@@ -138,16 +138,15 @@ let checker_catches defect binding =
   | Error _ -> true
   | Ok _ -> false
 
-let run ?pool cfg =
+let run cfg =
   let rng = Prng.create cfg.seed in
   let schedule = defect_schedule cfg (Prng.split rng) in
   let manual_rng = Prng.split rng and tool_rng = Prng.split rng in
   let schedule_arr = Array.of_list schedule in
   (* Both arms draw trial [k]'s numbers from stream [k] of the arm's
-     generator and merge counts in trial order, so the results are
-     identical whether trials run sequentially or across domains. *)
+     generator and merge counts in trial order. *)
   let manual_trials =
-    Argus_par.Pool.mapi_array ?pool
+    Array.mapi
       (fun k defect ->
         let rng = Prng.stream manual_rng k in
         let t =
@@ -174,7 +173,7 @@ let run ?pool cfg =
   let m_residual = sum4 (fun (_, _, _, r) -> r) in
   (* Tool arm: same schedule, and the checker is real. *)
   let tool_trials =
-    Argus_par.Pool.mapi_array ?pool
+    Array.mapi
       (fun k defect ->
         let rng = Prng.stream tool_rng k in
         let base = Prng.lognormal rng ~mu:(log cfg.minutes_tool) ~sigma:0.3 in

@@ -58,8 +58,8 @@ type result = {
   time_test : Stats.t_test;  (** Tool vs manual trial minutes. *)
 }
 
-val run : ?pool:Argus_par.Pool.t -> config -> result
-(** Deterministic for any [?pool]: each trial draws from a per-trial
+val run : config -> result
+(** Deterministic in [config.seed]: each trial draws from a per-trial
     PRNG stream and counts merge in trial order. *)
 
 val pp : Format.formatter -> result -> unit

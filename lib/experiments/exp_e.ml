@@ -133,7 +133,7 @@ let ground_truth () =
 
 let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
 
-let run ?pool cfg =
+let run cfg =
   let rng = Prng.create cfg.seed in
   let truth = ground_truth () in
   let baseline = Confidence.root_confidence ~trust specimen in
@@ -195,14 +195,11 @@ let run ?pool cfg =
       truth_rel probe_verdicts
   in
   let run_procedure assessor =
-    (* Assessor [i] draws from stream [i] of the procedure's generator,
-       so judgments are identical whether assessors run sequentially or
-       split across domains. *)
+    (* Assessor [i] draws from stream [i] of the procedure's
+       generator. *)
     let proc_rng = Prng.split rng in
     let all =
-      Argus_par.Pool.init ?pool cfg.n_assessors (fun i ->
-          assessor (Prng.stream proc_rng i))
-      |> Array.to_list
+      List.init cfg.n_assessors (fun i -> assessor (Prng.stream proc_rng i))
     in
     let minutes =
       List.concat_map (fun judgments -> List.map fst judgments) all

@@ -52,8 +52,8 @@ type result = {
 }
 
 val categorise : float -> category
-val run : ?pool:Argus_par.Pool.t -> config -> result
-(** Deterministic for any [?pool]: each assessor draws from a per-index
-    PRNG stream of the procedure's generator. *)
+val run : config -> result
+(** Deterministic in [config.seed]: each assessor draws from a
+    per-index PRNG stream of the procedure's generator. *)
 
 val pp : Format.formatter -> result -> unit

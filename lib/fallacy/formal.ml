@@ -153,15 +153,12 @@ let check_propositional ?budget arg =
              else entries);
           fs)
 
-let check_many ?budget ?pool args =
-  (* Each argument's check is pure and independent; results come back
-     in input order, so the scan is identical for any worker count.
-     A budget is a single mutable accumulator, so a budgeted scan runs
-     sequentially rather than sharing it across domains. *)
+let check_many ?budget args =
+  (* An unlimited budget takes the memoised path, as with no budget. *)
   match budget with
   | Some b when Argus_rt.Budget.is_limited b ->
       List.map (check_propositional ~budget:b) args
-  | _ -> Argus_par.Pool.map_list ?pool check_propositional args
+  | _ -> List.map check_propositional args
 
 let check_syllogism syll =
   List.filter_map

@@ -55,15 +55,10 @@ val is_valid_propositional :
 (** Premises entail the conclusion. *)
 
 val check_many :
-  ?budget:Argus_rt.Budget.t ->
-  ?pool:Argus_par.Pool.t ->
-  propositional list ->
-  finding list list
-(** [check_propositional] over every argument — across the pool's
-    domains when [?pool] is given — with findings in input order,
-    identical to the sequential map for any worker count.  A limited
-    budget forces the sequential path (a budget is one mutable
-    accumulator and is not shared across domains). *)
+  ?budget:Argus_rt.Budget.t -> propositional list -> finding list list
+(** [check_propositional] over every argument, findings in input
+    order.  Only a limited budget is threaded through; an unlimited
+    one is treated as no budget. *)
 
 val check_syllogism : Argus_logic.Syllogism.t -> finding list
 (** Fallacies 7 and 8 (plus nothing else; the non-distribution

@@ -67,30 +67,26 @@ let dependency_cycle t =
           r)
     None t.order
 
-let check_with ?pool ~wf t =
+let check_with ~wf t =
   let out = ref [] in
   let add d = out := d :: !out in
-  (* Per-module well-formedness, with module-qualified messages.  Each
-     module's check is independent, so the collection fans out across
-     the pool; diagnostics come back in module order either way. *)
-  let per_module =
-    Argus_par.Pool.map_list ?pool
-      (fun name ->
-        match Id.Map.find_opt name t.modules with
-        | None -> []
-        | Some e ->
-            List.map
-              (fun d ->
+  (* Per-module well-formedness, with module-qualified messages. *)
+  List.iter
+    (fun name ->
+      match Id.Map.find_opt name t.modules with
+      | None -> ()
+      | Some e ->
+          List.iter
+            (fun d ->
+              add
                 {
                   d with
                   Diagnostic.message =
                     Printf.sprintf "[module %s] %s" (Id.to_string name)
                       d.Diagnostic.message;
                 })
-              (wf e.structure))
-      t.order
-  in
-  List.iter (List.iter add) per_module;
+            (wf e.structure))
+    t.order;
   (* Cross-module rules. *)
   List.iter
     (fun name ->
@@ -150,5 +146,5 @@ let check_with ?pool ~wf t =
            "module dependencies are cyclic"));
   Diagnostic.sort (List.rev !out)
 
-let check ?pool t = check_with ?pool ~wf:Wellformed.check t
+let check t = check_with ~wf:Wellformed.check t
 let is_well_formed t = not (Diagnostic.has_errors (check t))

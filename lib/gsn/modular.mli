@@ -37,10 +37,9 @@ val dependencies : Argus_core.Id.t -> t -> Argus_core.Id.t list
 (** Modules this module cites via away goals, module references or
     contracts, without duplicates. *)
 
-val check : ?pool:Argus_par.Pool.t -> t -> Argus_core.Diagnostic.t list
-(** Runs {!Wellformed.check} on each module — across the pool's domains
-    when [?pool] is given, with identical diagnostics in either mode —
-    (diagnostics prefixed with the module name in the message), plus
+val check : t -> Argus_core.Diagnostic.t list
+(** Runs {!Wellformed.check} on each module (diagnostics prefixed with
+    the module name in the message), plus
     the cross-module rules, codes under ["modular/"]:
     - ["modular/unknown-module"] — an away goal, module reference or
       contract names a module not in the collection;
@@ -53,14 +52,13 @@ val check : ?pool:Argus_par.Pool.t -> t -> Argus_core.Diagnostic.t list
       cyclic. *)
 
 val check_with :
-  ?pool:Argus_par.Pool.t ->
   wf:(Structure.t -> Argus_core.Diagnostic.t list) ->
   t ->
   Argus_core.Diagnostic.t list
 (** {!check} with the per-module well-formedness checker injected —
     the seam that lets a compiled checker (lib/ir's fused pass) run
-    per module while the cross-module rules stay here.  [wf] must be
-    extensionally equal to {!Wellformed.check} for the result to match
-    {!check}. *)
+    per module while the cross-module rules stay here.  [wf] runs
+    once per module, in module order.  [wf] must be extensionally
+    equal to {!Wellformed.check} for the result to match {!check}. *)
 
 val is_well_formed : t -> bool

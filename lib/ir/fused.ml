@@ -382,19 +382,25 @@ let assemble ~wf ~informal =
 
 (* --- Modular --- *)
 
-(* The modular checker compiled onto the IR: each module's
-   well-formedness runs as a fused pass over its interned form instead
-   of the legacy tree walk, while the cross-module rules (away goals,
-   module references, dependency cycles) stay in
-   {!Argus_gsn.Modular}.  Byte-identical to
-   {!Argus_gsn.Modular.check} because the per-module fused pass is
-   byte-identical to {!Argus_gsn.Wellformed.check} (test/ir holds
-   both equalities). *)
-let check_modular ?pool m =
-  Argus_gsn.Modular.check_with ?pool
-    ~wf:(fun s ->
-      (check ~lints:false (Caseir.intern ~derive:Caseir.derive_cached s)).wf)
-    m
+(* The modular checker compiled onto the IR: each module is interned
+   once — through the process-wide derivation memo, so a daemon
+   re-checking a collection re-derives no text — and runs one fused
+   pass: well-formedness under the ruleset, plus the lints when asked.
+   The cross-module rules (away goals, module references, dependency
+   cycles) stay in {!Argus_gsn.Modular}.  [check_with] calls [wf] once
+   per module in module order, so the lint findings collected on the
+   side come back in module order and a shared budget is spent in that
+   order too.  test/ir holds both halves to their legacy oracles. *)
+let check_modular ?ruleset ?budget ~lints m =
+  let informal = ref [] in
+  let wf =
+    Argus_gsn.Modular.check_with m ~wf:(fun s ->
+        let ir = Caseir.intern ~derive:Caseir.derive_cached s in
+        let r = check ?ruleset ?budget ~lints ir in
+        informal := r.informal :: !informal;
+        r.wf)
+  in
+  { wf; informal = List.concat (List.rev !informal) }
 
 (* Lints alone, for callers that would have invoked only
    {!Argus_fallacy.Informal.check_structure} — no [gsn.wf.*] counters,

@@ -86,13 +86,18 @@ val assemble :
     {!check}'s emission order. *)
 
 val check_modular :
-  ?pool:Argus_par.Pool.t ->
+  ?ruleset:Argus_gsn.Wellformed.ruleset ->
+  ?budget:Argus_rt.Budget.t ->
+  lints:bool ->
   Argus_gsn.Modular.t ->
-  Argus_core.Diagnostic.t list
-(** The modular checker compiled onto the IR: per-module
-    well-formedness as a fused pass over each module's interned form,
-    cross-module rules from {!Argus_gsn.Modular}.  Byte-identical to
-    {!Argus_gsn.Modular.check}. *)
+  result
+(** The modular checker compiled onto the IR: each module is interned
+    once (through {!Caseir.derive_cached}) and runs one {!check} with
+    [ruleset], [budget] and [lints]; the cross-module rules come from
+    {!Argus_gsn.Modular}.  [wf] is byte-identical to
+    [Argus_gsn.Modular.check_with ~wf:(Argus_gsn.Wellformed.check ?ruleset)],
+    and [informal] to {!lint} over each module concatenated in module
+    order, one budget spent across all of them. *)
 
 type cae_ir
 

@@ -1,39 +1,9 @@
 module Metrics = Argus_obs.Metrics
-module Span = Argus_obs.Span
 module Fault = Argus_rt.Fault
 
-let c_tasks = Metrics.Counter.make "par.tasks"
-let c_chunks = Metrics.Counter.make "par.chunks"
-let c_steals = Metrics.Counter.make "par.steals"
 let c_tasks_failed = Metrics.Counter.make "rt.tasks_failed"
 
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace }
-
-exception Abandoned
-
-(* One fork-join operation.  Chunks are handed out through [next]; a
-   participant that drains the cursor past [total] is done.  [active]
-   counts participants currently inside {!drain}; the op is complete
-   when the cursor is exhausted and [active] is back to 0. *)
-type op = {
-  total : int;
-  chunk : int;
-  body : int -> int -> unit; (* [lo, hi) index range *)
-  next : int Atomic.t;
-  active : int Atomic.t;
-  mutable failed : failure option;
-}
-
-type t = {
-  jobs : int;
-  mu : Mutex.t;
-  work_cv : Condition.t; (* new op published, or shutdown *)
-  done_cv : Condition.t; (* a participant left the current op *)
-  mutable closed : bool;
-  mutable current : op option;
-  mutable seq : int; (* bumped per op so workers spot new work *)
-  mutable domains : unit Domain.t array;
-}
 
 let default_jobs () =
   match Sys.getenv_opt "ARGUS_JOBS" with
@@ -43,199 +13,33 @@ let default_jobs () =
       | _ -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-let jobs t = t.jobs
+let capture i f x =
+  try
+    Fault.point ~key:(string_of_int i) "pool.task";
+    Ok (f x)
+  with e ->
+    let backtrace = Printexc.get_raw_backtrace () in
+    Metrics.Counter.incr c_tasks_failed;
+    Error { exn = e; backtrace }
 
-(* Pull chunks until the cursor is exhausted.  A chunk that raises is
-   captured (first failure wins) and the participant moves on to the
-   next chunk — one bad task must not abandon the rest of the batch —
-   and the caller decides after the join whether to re-raise.  The
-   ["pool.chunk"] fault probe, keyed by the chunk's start index, sits
-   in front of the body so tests can prove exactly that isolation. *)
-let drain t op ~stealing =
-  Atomic.incr op.active;
-  let continue_ = ref true in
-  while !continue_ do
-    let lo = Atomic.fetch_and_add op.next op.chunk in
-    if lo >= op.total then continue_ := false
-    else begin
-      Metrics.Counter.incr c_chunks;
-      if stealing then Metrics.Counter.incr c_steals;
-      try
-        Fault.point ~key:(string_of_int lo) "pool.chunk";
-        op.body lo (min op.total (lo + op.chunk))
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Metrics.Counter.incr c_tasks_failed;
-        Mutex.protect t.mu (fun () ->
-            if op.failed = None then
-              op.failed <- Some { exn = e; backtrace = bt })
+(* Each participant claims the next unclaimed index until none are
+   left and writes its outcome into that index's slot; [Domain.join]
+   publishes the helpers' writes before the slots are read. *)
+let map_list_result ~jobs f xs =
+  let items = Array.of_list xs in
+  let n = Array.length items in
+  let out = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      out.(i) <- Some (capture i f items.(i));
+      work ()
     end
-  done;
-  ignore (Atomic.fetch_and_add op.active (-1));
-  Mutex.protect t.mu (fun () -> Condition.broadcast t.done_cv)
-
-let worker t =
-  let last = ref 0 in
-  let running = ref true in
-  while !running do
-    let job =
-      Mutex.protect t.mu (fun () ->
-          while (not t.closed) && t.seq = !last do
-            Condition.wait t.work_cv t.mu
-          done;
-          if t.closed then None
-          else begin
-            last := t.seq;
-            t.current
-          end)
-    in
-    match job with
-    | None -> if t.closed then running := false
-    | Some op -> drain t op ~stealing:true
-  done
-
-let create ?jobs () =
-  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-  let t =
-    {
-      jobs;
-      mu = Mutex.create ();
-      work_cv = Condition.create ();
-      done_cv = Condition.create ();
-      closed = false;
-      current = None;
-      seq = 0;
-      domains = [||];
-    }
   in
-  t.domains <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
-  t
-
-let shutdown t =
-  let ds =
-    Mutex.protect t.mu (fun () ->
-        if t.closed then [||]
-        else begin
-          t.closed <- true;
-          Condition.broadcast t.work_cv;
-          let ds = t.domains in
-          t.domains <- [||];
-          ds
-        end)
+  let helpers =
+    List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn work)
   in
-  Array.iter Domain.join ds
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Run [body] over [0, total) in chunks across the pool; the calling
-   domain participates, then waits for every worker to leave the op.
-   Every chunk runs even when some fail; the first failure (if any) is
-   returned for the caller to re-raise or record. *)
-let run_capture t ~total ~body =
-  if total <= 0 then None
-  else
-    Span.with_ ~name:"par.map" (fun () ->
-        Metrics.Counter.add c_tasks total;
-        let chunk = max 1 ((total + (4 * t.jobs) - 1) / (4 * t.jobs)) in
-        let op =
-          {
-            total;
-            chunk;
-            body;
-            next = Atomic.make 0;
-            active = Atomic.make 0;
-            failed = None;
-          }
-        in
-        Mutex.protect t.mu (fun () ->
-            t.current <- Some op;
-            t.seq <- t.seq + 1;
-            Condition.broadcast t.work_cv);
-        drain t op ~stealing:false;
-        Mutex.protect t.mu (fun () ->
-            while not (Atomic.get op.next >= total && Atomic.get op.active = 0) do
-              Condition.wait t.done_cv t.mu
-            done;
-            t.current <- None);
-        op.failed)
-
-let run t ~total ~body =
-  match run_capture t ~total ~body with
-  | Some { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace
-  | None -> ()
-
-let mapi_array ?pool f arr =
-  let n = Array.length arr in
-  match pool with
-  | None -> Array.mapi f arr
-  | Some t when t.jobs <= 1 || n <= 1 -> Array.mapi f arr
-  | Some t ->
-      (* Slot 0 is computed up front by the caller — it seeds the
-         output array without an unsafe placeholder — and the pool
-         covers indices [1, n). *)
-      let out = Array.make n (f 0 arr.(0)) in
-      run t ~total:(n - 1) ~body:(fun lo hi ->
-          for j = lo to hi - 1 do
-            out.(j + 1) <- f (j + 1) arr.(j + 1)
-          done);
-      out
-
-let map_array ?pool f arr = mapi_array ?pool (fun _ x -> f x) arr
-let init ?pool n f = mapi_array ?pool (fun i () -> f i) (Array.make n ())
-
-let map_list ?pool f xs =
-  match pool with
-  | None -> List.map f xs
-  | Some t when t.jobs <= 1 -> List.map f xs
-  | Some _ -> Array.to_list (map_array ?pool f (Array.of_list xs))
-
-let map_reduce ?pool ~map ~combine ~init:z arr =
-  let mapped = map_array ?pool map arr in
-  Array.fold_left combine z mapped
-
-(* --- Fault-isolating maps --- *)
-
-let abandoned = { exn = Abandoned; backtrace = Printexc.get_callstack 0 }
-
-let mapi_result ?pool f arr =
-  let wrap i x =
-    try
-      Fault.point ~key:(string_of_int i) "pool.task";
-      Ok (f i x)
-    with e ->
-      let backtrace = Printexc.get_raw_backtrace () in
-      Metrics.Counter.incr c_tasks_failed;
-      Error { exn = e; backtrace }
-  in
-  let n = Array.length arr in
-  match pool with
-  | None -> Array.mapi wrap arr
-  | Some t when t.jobs <= 1 || n <= 1 -> Array.mapi wrap arr
-  | Some t ->
-      (* Slots start out [Error Abandoned] so a chunk the pool itself
-         loses (captured by [run_capture], e.g. a ["pool.chunk"] fault)
-         surfaces as per-item failures rather than vanishing; slots of
-         chunks that ran are overwritten with the per-item outcome. *)
-      let out = Array.make n (Error abandoned) in
-      let failed =
-        run_capture t ~total:n ~body:(fun lo hi ->
-            for i = lo to hi - 1 do
-              out.(i) <- wrap i arr.(i)
-            done)
-      in
-      (match failed with
-      | Some f ->
-          Array.iteri
-            (fun i -> function
-              | Error a when a == abandoned -> out.(i) <- Error f
-              | _ -> ())
-            out
-      | None -> ());
-      out
-
-let map_result ?pool f arr = mapi_result ?pool (fun _ x -> f x) arr
-
-let map_list_result ?pool f xs =
-  Array.to_list (map_result ?pool f (Array.of_list xs))
+  work ();
+  List.iter Domain.join helpers;
+  Array.to_list (Array.map Option.get out)

@@ -1,83 +1,28 @@
-(** Domain-based fork-join pool with chunked map / map-reduce.
+(** File-level batch parallelism: an order-preserving map across OCaml
+    domains with per-item failure capture.
 
-    A pool owns [jobs - 1] persistent worker domains; each parallel
-    operation is split into index chunks handed out through an atomic
-    cursor, and the calling domain participates, so [jobs = 1] degrades
-    to the plain sequential loop.  Results are written into
-    index-addressed slots and reductions combine per-index results left
-    to right, so every operation returns **bit-identical results
-    regardless of the worker count** — the determinism contract the
-    experiment harnesses and the batch checker rely on (DESIGN.md §9).
+    The one fan-out that measurably pays in Argus is [argus check]
+    over several files, so this is all the runtime keeps
+    (DESIGN.md §9).  {!map_list_result} spawns
+    [min jobs (List.length xs) - 1] helper domains for the duration of
+    one call, the calling domain works too, and items are claimed one
+    at a time off an atomic cursor.  With [jobs = 1], or a single
+    item, no domain is spawned at all.
 
-    Passing [?pool:None] (the default) to the mapping functions runs
-    the plain sequential code with no domain machinery at all.
-
-    Fault isolation: a chunk that raises never abandons the rest of the
-    operation — every remaining chunk still runs, the first failure is
-    re-raised after the join ({!map_array} family) or captured per item
-    ({!map_result} family), and the [rt.tasks_failed] counter records
-    each capture.  The ["pool.chunk"] (keyed by chunk start index) and
-    ["pool.task"] (keyed by item index) fault probes of
-    {!Argus_rt.Fault} let tests inject failures deterministically
-    (DESIGN.md §10).
-
-    Observability: each parallel operation runs under a ["par.map"]
-    span on the calling domain and feeds the [par.tasks] (items),
-    [par.chunks] (chunks handed out) and [par.steals] (chunks executed
-    by a worker rather than the caller) counters. *)
-
-type t
+    Fault isolation: an item that raises becomes that item's [Error]
+    (with its backtrace); every other item still runs, and the
+    [rt.tasks_failed] counter records each capture.  The ["pool.task"]
+    fault probe of {!Argus_rt.Fault}, keyed by item index, lets tests
+    inject failures deterministically (DESIGN.md §10). *)
 
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace }
-
-exception Abandoned
-(** Placeholder failure for items whose chunk was lost to a
-    pool-internal fault before any of its items ran; only ever seen
-    inside {!map_result} [Error] payloads. *)
 
 val default_jobs : unit -> int
 (** [$ARGUS_JOBS] when set to a positive integer, otherwise
     [Domain.recommended_domain_count ()]. *)
 
-val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] workers (default {!default_jobs}; values
-    below 1 are clamped to 1, which spawns no domains). *)
-
-val jobs : t -> int
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent; the pool must not be
-    used afterwards. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exception). *)
-
-val map_array : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
-val mapi_array : ?pool:t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-val init : ?pool:t -> int -> (int -> 'a) -> 'a array
-val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-
-val map_result : ?pool:t -> ('a -> 'b) -> 'a array -> ('b, failure) result array
-(** Like {!map_array} but one item's exception (with its backtrace)
-    becomes that item's [Error] instead of failing the whole map — the
-    batch checker's isolation primitive.  Results stay in input order;
-    items of a chunk lost to a pool-internal failure carry that
-    failure (or {!Abandoned}). *)
-
-val mapi_result :
-  ?pool:t -> (int -> 'a -> 'b) -> 'a array -> ('b, failure) result array
-
 val map_list_result :
-  ?pool:t -> ('a -> 'b) -> 'a list -> ('b, failure) result list
-
-val map_reduce :
-  ?pool:t ->
-  map:('a -> 'b) ->
-  combine:('b -> 'b -> 'b) ->
-  init:'b ->
-  'a array ->
-  'b
-(** [combine] is applied to the mapped results left to right in index
-    order starting from [init] — identical to
-    [Array.fold_left (fun acc x -> combine acc (map x)) init], whatever
-    the worker count. *)
+  jobs:int -> ('a -> 'b) -> 'a list -> ('b, failure) result list
+(** [map_list_result ~jobs f xs] applies [f] to every item across at
+    most [jobs] domains (values below 1 count as 1).  Results are in
+    input order whatever the worker count. *)

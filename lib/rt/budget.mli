@@ -15,7 +15,7 @@
 
     A budget is single-domain mutable state: create one per task (the
     batch checker creates one per file), never share one across a
-    {!Argus_par.Pool} fan-out.  {!unlimited} is the exception — it is
+    batch's domains.  {!unlimited} is the exception — it is
     never mutated and may be shared freely; every check against it is a
     single load-and-branch, which is what keeps the budgeted hot paths
     within the bench regression gate ([rt-budget-overhead-*]).

@@ -19,7 +19,7 @@
     Counter: [rt.faults_injected]. *)
 
 type spec = {
-  probe : string;  (** Probe point name, e.g. ["pool.chunk"]. *)
+  probe : string;  (** Probe point name, e.g. ["pool.task"]. *)
   key : string option;
       (** When set, only probe calls with this exact key match. *)
   rate : float;  (** Injection probability in [0, 1]. *)
@@ -31,7 +31,7 @@ exception Injected of string
 
 val parse_spec : string -> (spec, string) result
 (** [probe:rate:seed] with an optional [@key] suffix on the probe name,
-    e.g. ["check.file@g3.arg:1:42"] or ["pool.chunk:0.5:7"].  The seed
+    e.g. ["check.file@g3.arg:1:42"] or ["pool.task:0.5:7"].  The seed
     may be omitted ([probe:rate]) and defaults to 0. *)
 
 val set : spec option -> unit

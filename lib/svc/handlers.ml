@@ -3,7 +3,6 @@ module Diagnostic = Argus_core.Diagnostic
 module Budget = Argus_rt.Budget
 module Dsl = Argus_dsl.Dsl
 module Wellformed = Argus_gsn.Wellformed
-module Modular = Argus_gsn.Modular
 module Informal = Argus_fallacy.Informal
 module Program = Argus_prolog.Program
 module Engine = Argus_prolog.Engine
@@ -34,43 +33,38 @@ let input_error ~id fmt =
     (fun msg -> Protocol.ok ~id ~exit_code:1 [ ("message", Json.Str msg) ])
     fmt
 
-let check (req : Protocol.request) ~budget =
-  let id = req.Protocol.id in
-  let ruleset =
-    match req.Protocol.ruleset with
-    | "denney-pai" -> Wellformed.Denney_pai_2013
-    | _ -> Wellformed.Standard
-  in
-  let lint structure =
-    if req.Protocol.lints then Fused.lint ?budget (Caseir.intern structure)
-    else []
-  in
-  match
-    Dsl.parse_collection ~filename:req.Protocol.filename req.Protocol.source
-  with
-  | Error ds -> report_response ~id ds
+let ruleset_of (req : Protocol.request) =
+  match req.Protocol.ruleset with
+  | "denney-pai" -> Wellformed.Denney_pai_2013
+  | _ -> Wellformed.Standard
+
+let check_source ~ruleset ~lints ?budget ~filename source =
+  match Dsl.parse_collection ~filename source with
+  | Error ds -> Error ds
   | Ok [ case ] when case.Dsl.module_name = None ->
       (* Single-case fast path: one interning, one fused pass. *)
-      let fused =
-        Fused.check ~ruleset ?budget ~lints:req.Protocol.lints
-          (Caseir.intern case.Dsl.structure)
+      let r =
+        Fused.check ~ruleset ?budget ~lints (Caseir.intern case.Dsl.structure)
       in
-      let ds =
-        fused.Fused.wf @ Dsl.validate_metadata case @ fused.Fused.informal
-        @ budget_diags budget
-      in
-      report_response ~id ds
+      Ok
+        (r.Fused.wf @ Dsl.validate_metadata case @ r.Fused.informal
+        @ budget_diags budget)
   | Ok cases -> (
       match Dsl.to_modular cases with
-      | Error ds -> report_response ~id ds
+      | Error ds -> Error ds
       | Ok collection ->
-          let ds =
-            Fused.check_modular collection
+          let r = Fused.check_modular ~ruleset ?budget ~lints collection in
+          Ok
+            (r.Fused.wf
             @ List.concat_map Dsl.validate_metadata cases
-            @ List.concat_map (fun c -> lint c.Dsl.structure) cases
-            @ budget_diags budget
-          in
-          report_response ~id ds)
+            @ r.Fused.informal @ budget_diags budget))
+
+let check (req : Protocol.request) ~budget =
+  match
+    check_source ~ruleset:(ruleset_of req) ~lints:req.Protocol.lints ?budget
+      ~filename:req.Protocol.filename req.Protocol.source
+  with
+  | Ok ds | Error ds -> report_response ~id:req.Protocol.id ds
 
 let fallacies (req : Protocol.request) ~budget =
   let id = req.Protocol.id in
@@ -190,11 +184,7 @@ let store_error ~id (e : Durable.error) =
 
 let put store (req : Protocol.request) =
   let id = req.Protocol.id in
-  let ruleset =
-    match req.Protocol.ruleset with
-    | "denney-pai" -> Wellformed.Denney_pai_2013
-    | _ -> Wellformed.Standard
-  in
+  let ruleset = ruleset_of req in
   match
     Dsl.parse_collection ~filename:req.Protocol.filename req.Protocol.source
   with

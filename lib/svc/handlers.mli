@@ -12,6 +12,22 @@
     appends the budget's diagnostics to its report but the exhaustion
     state is recorded on the supervisor's value. *)
 
+val check_source :
+  ruleset:Argus_gsn.Wellformed.ruleset ->
+  lints:bool ->
+  ?budget:Argus_rt.Budget.t ->
+  filename:string ->
+  string ->
+  (Argus_core.Diagnostic.t list, Argus_core.Diagnostic.t list) result
+(** The one [check] pipeline, shared by [argus check] and the [Check]
+    op.  It parses the source; a single unnamed case runs one fused
+    pass ({!Argus_ir.Fused.check}), and a multi-module file runs
+    {!Argus_ir.Fused.check_modular}, which interns each module once.
+    [Ok] carries the report: well-formedness, metadata, lint (when
+    [lints]) and budget findings, in that order.  [Error] carries the
+    findings of a source that does not parse or whose modules do not
+    form a collection. *)
+
 val handle :
   Protocol.request -> budget:Argus_rt.Budget.t option -> Protocol.response
 (** [Health] requests are answered by the server before the queue and

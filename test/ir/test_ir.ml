@@ -409,6 +409,12 @@ let gen_collection =
           (fun acc (name, s) -> Modular.add_module ~name s acc)
           Modular.empty)
 
+(* The single-intern modular pass against its oracles, for both
+   rulesets, lints on and off, unlimited and fuel-limited: its
+   well-formedness half must match the legacy per-module checker
+   under the same ruleset, and its lint half the per-module lints
+   concatenated in module order — spending a shared budget the same
+   way. *)
 let check_modular_matches_legacy =
   QCheck.Test.make
     ~name:"Fused.check_modular = Modular.check (random collections)"
@@ -418,12 +424,54 @@ let check_modular_matches_legacy =
          String.concat ", " (List.map Id.to_string (Modular.module_names c)))
        gen_collection)
     (fun c ->
-      let a = render (Fused.check_modular c) in
-      let b = render (Modular.check c) in
-      if a <> b then
+      let drift what a b =
         QCheck.Test.fail_report
-          (Printf.sprintf "modular drift\n-- fused --\n%s\n-- legacy --\n%s" a b)
-      else true)
+          (Printf.sprintf "modular %s drift\n-- fused --\n%s\n-- oracle --\n%s"
+             what a b)
+      in
+      let legacy = render (Modular.check c) in
+      let standard = render (Fused.check_modular ~lints:false c).Fused.wf in
+      if standard <> legacy then drift "default" standard legacy
+      else
+        List.for_all
+          (fun ruleset ->
+            List.for_all
+              (fun (lints, fuel) ->
+                let budget () =
+                  Option.map (fun fuel -> Budget.make ~fuel ()) fuel
+                in
+                let b1 = budget () and b2 = budget () in
+                let r = Fused.check_modular ~ruleset ?budget:b1 ~lints c in
+                let wf =
+                  render (Modular.check_with ~wf:(Wellformed.check ~ruleset) c)
+                in
+                let informal =
+                  if not lints then ""
+                  else
+                    render
+                      (List.concat_map
+                         (fun name ->
+                           match Modular.find name c with
+                           | Some s -> Fused.lint ?budget:b2 (Caseir.intern s)
+                           | None -> [])
+                         (Modular.module_names c))
+                in
+                let steps b =
+                  Option.fold ~none:"-"
+                    ~some:(fun b -> string_of_int (Budget.steps b))
+                    b
+                in
+                if render r.Fused.wf <> wf then
+                  drift "wf" (render r.Fused.wf) wf
+                else if lints && render r.Fused.informal <> informal then
+                  drift "lint" (render r.Fused.informal) informal
+                else if (not lints) && r.Fused.informal <> [] then
+                  drift "lints-off" (render r.Fused.informal) ""
+                else if steps b1 <> steps b2 then
+                  drift "budget steps" (steps b1) (steps b2)
+                else true)
+              [ (false, None); (true, None); (false, Some 3); (true, Some 3) ])
+          rulesets)
 
 let () =
   Alcotest.run "argus-ir"

@@ -409,22 +409,30 @@ let test_memoization () =
   Alcotest.(check (float 0.)) "same confidence" v1.Store.confidence
     v2.Store.confidence
 
+(* [f] over [xs] across [jobs] domains, in input order; an item that
+   raised re-raises here, failing the test. *)
+let across_domains ~jobs f xs =
+  List.map
+    (function
+      | Ok y -> y
+      | Error { Pool.exn; backtrace } ->
+          Printexc.raise_with_backtrace exn backtrace)
+    (Pool.map_list_result ~jobs f xs)
+
 (* One store, many domains: disjoint scenarios driven concurrently
    through a shared store must all hold the differential property. *)
 let concurrent_differential jobs () =
   let scenarios =
     let seed = ref 42 in
-    Array.init 16 (fun i ->
-        seed := (!seed * 25214903917) + i;
-        let rand = Random.State.make [| !seed; i |] in
-        QCheck.Gen.generate1 ~rand gen_case_and_edits)
+    Array.to_list
+      (Array.init 16 (fun i ->
+           seed := (!seed * 25214903917) + i;
+           let rand = Random.State.make [| !seed; i |] in
+           QCheck.Gen.generate1 ~rand gen_case_and_edits))
   in
   let store = Store.create () in
-  let results =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array ~pool (fun sc -> drive store sc) scenarios)
-  in
-  Array.iteri
+  let results = across_domains ~jobs (fun sc -> drive store sc) scenarios in
+  List.iteri
     (fun i r ->
       match r with
       | Ok () -> ()
@@ -805,7 +813,7 @@ let test_recover_read_fault () =
    nothing ever crashes.  Without ambient faults it degenerates to a
    full durability round-trip per scenario. *)
 let durable_differential jobs () =
-  let scenarios = Array.init 8 (fun i -> 3 + (i mod 4)) in
+  let scenarios = List.init 8 (fun i -> 3 + (i mod 4)) in
   let run_one ops =
     with_dir @@ fun dir ->
     match Durable.create ~dir ~sync:Wal.Always () with
@@ -887,8 +895,7 @@ let durable_differential jobs () =
                     (List.length cases)
               | [], _ -> ()))
   in
-  Pool.with_pool ~jobs (fun pool ->
-      ignore (Pool.map_array ~pool run_one scenarios))
+  ignore (across_domains ~jobs run_one scenarios)
 
 let () =
   Fault.configure_from_env ();

@@ -608,7 +608,7 @@ let test_server_half_close () =
 
 (* A tiny line-oriented client against a spawned server: send request
    values, read one response line per request. *)
-let with_server ?(jobs = 1) f =
+let with_server ?(jobs = 1) ?(handler = echo_handler) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "argus-svc-tm-%d-%d.sock" (Unix.getpid ())
@@ -616,7 +616,7 @@ let with_server ?(jobs = 1) f =
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let cfg = { (Server.default_config ~socket_path:path) with Server.jobs } in
-  let h = Server.spawn ~handler:echo_handler cfg in
+  let h = Server.spawn ~handler cfg in
   Fun.protect ~finally:(fun () -> ignore (Server.stop h)) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -727,6 +727,53 @@ let test_server_traced_request () =
               Alcotest.(check bool)
                 "span has a duration" true
                 (span.Argus_obs.Span.dur_ns >= 0)))
+
+(* The rule set reaches every module of a multi-module file: over the
+   wire, a Denney-Pai check reports the goal-under-goal inside module
+   M1 exactly as it would for M1 checked as a single case. *)
+let test_server_modular_ruleset () =
+  with_server ~handler:Argus_svc.Handlers.handle @@ fun roundtrip ->
+  let source =
+    {|case M1 "Goal under goal" {
+  evidence E1 analysis "Hazard analysis"
+  goal G1 "The system is acceptably safe" { supported-by G2 }
+  goal G2 "Identified hazards are mitigated" { supported-by Sn1 }
+  solution Sn1 "Analysis results" { evidence E1 }
+}
+case M2 "Strategy between goals" {
+  goal G3 "The interface is acceptably safe" { undeveloped }
+}|}
+  in
+  let codes ruleset =
+    let r =
+      roundtrip
+        (Protocol.request ~id:ruleset ~source ~filename:"dp.arg" ~ruleset
+           Protocol.Check)
+    in
+    match r.Protocol.outcome with
+    | Error (code, msg) -> Alcotest.failf "check failed: %s %s" code msg
+    | Ok (exit_code, payload) -> (
+        match
+          Option.bind (List.assoc_opt "report" payload)
+            (Json.member "diagnostics")
+        with
+        | Some (Json.List ds) ->
+            ( exit_code,
+              List.map
+                (fun d ->
+                  match (Json.member "code" d, Json.member "message" d) with
+                  | Some (Json.Str c), Some (Json.Str m) ->
+                      c ^ " " ^ String.sub m 0 (min 11 (String.length m))
+                  | _ -> Alcotest.fail "diagnostic without code or message")
+                ds )
+        | _ -> Alcotest.fail "check answered no report")
+  in
+  Alcotest.(check (pair int (list string)))
+    "standard allows goal under goal" (0, []) (codes "standard");
+  Alcotest.(check (pair int (list string)))
+    "denney-pai forbids it in module M1"
+    (1, [ "gsn/dp-goal-under-goal [module M1]" ])
+    (codes "denney-pai")
 
 (* --- store ops: protocol codec, stateless rejection, stateful mode --- *)
 
@@ -1063,5 +1110,7 @@ let () =
             test_server_stats_schema;
           Alcotest.test_case "traced request returns span tree" `Quick
             test_server_traced_request;
+          Alcotest.test_case "ruleset reaches every module" `Quick
+            test_server_modular_ruleset;
         ] );
     ]
