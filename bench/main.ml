@@ -28,6 +28,8 @@ module Syllogism = Argus_logic.Syllogism
 module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
 module Pattern = Argus_patterns.Pattern
+module Catalogue = Argus_patterns.Catalogue
+module Dsl = Argus_dsl.Dsl
 module Proofgen = Argus_proofgen.Proofgen
 module Modular = Argus_gsn.Modular
 module Store = Argus_store.Store
@@ -242,6 +244,50 @@ let bench_kaos =
 let ablation_formula =
   Prop.of_string_exn
     "((a | b) & (c | d) & (e | f) & (g | h)) -> ((a & c) | (b & d) | (e & g) | (f & h))"
+
+(* The text-derivation workload: every string of the Greenwell corpus
+   (system, description, premises and conclusion as formula text) and
+   every node text of the pattern-catalogue example cases, each as a
+   goal, strategy, solution and context payload so every branch of the
+   derivation runs. *)
+let derive_nodes =
+  let texts =
+    List.concat_map
+      (fun i ->
+        let a = i.Greenwell.argument in
+        i.Greenwell.system :: i.Greenwell.description
+        :: Prop.to_string a.Formal.conclusion
+        :: List.map Prop.to_string a.Formal.premises)
+      Greenwell.corpus
+    @ List.concat_map
+        (fun (_, p) ->
+          List.map
+            (fun n -> n.Argus_gsn.Node.text)
+            (Structure.nodes p.Pattern.structure))
+        Catalogue.all
+  in
+  List.concat_map
+    (fun text ->
+      List.map
+        (fun node_type ->
+          Argus_gsn.Node.make ~id:(Argus_core.Id.of_string "N") ~node_type text)
+        Argus_gsn.Node.[ Goal; Strategy; Solution; Context ])
+    texts
+
+(* A 5000-node DSL source: a binary support tree of goals, each with a
+   context link and a natural-language claim. *)
+let dsl_5k =
+  let b = Buffer.create (5000 * 110) in
+  Buffer.add_string b
+    "case \"Generated\" {\n  context C1 \"Operating envelope\"\n";
+  for i = 0 to 4999 do
+    Printf.bprintf b
+      "  goal G%d \"Hazard %d of the braking subsystem is acceptably \
+       mitigated\" { supported-by G%d, G%d in-context-of C1 }\n"
+      i i ((2 * i) + 1) ((2 * i) + 2)
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
 
 (* A deep chain case for the well-formedness and hicase ablations. *)
 let deep_case =
@@ -657,6 +703,16 @@ let bench_subjects =
         ignore (Argus_ltl.Ltl.holds tr f)));
     Test.make ~name:"modular-wf-16" (Staged.stage (fun () ->
         ignore (Fused.check_modular ~lints:false bench_modular)));
+    (* Text derivation (DESIGN.md §13): the one-pass [Caseir.derive]
+       against the list-based oracle it replaced, over the same
+       payloads.  compare.exe --require-speedup gates the ratio at 5x. *)
+    Test.make ~name:"text-derive" (Staged.stage (fun () ->
+        List.iter (fun n -> ignore (Caseir.derive n)) derive_nodes));
+    Test.make ~name:"text-derive-oracle" (Staged.stage (fun () ->
+        List.iter (fun n -> ignore (Oracle.Text.derive n)) derive_nodes));
+    (* Cold DSL parse of a 5000-node case: tokenise, parse, assemble. *)
+    Test.make ~name:"dsl-parse-5k" (Staged.stage (fun () ->
+        ignore (Dsl.parse_collection dsl_5k)));
     (* Incremental store (DESIGN.md §14).  The pair to read together:
        [store-full-recheck-100k] is what every edit used to cost —
        re-intern the whole case and run the fused checker — and

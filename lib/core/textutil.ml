@@ -1,24 +1,73 @@
 let is_alnum c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
-let words s =
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if is_alnum c then Buffer.add_char buf c else flush ()) s;
-  flush ();
-  List.rev !out
+(* The one tokenizer: a word is a maximal run of ASCII alphanumerics.
+   [word_start s i] skips to the first word byte at or after [i];
+   [word_stop s i] to the first non-word byte. *)
+let rec word_start s i =
+  if i < String.length s && not (is_alnum (String.unsafe_get s i)) then
+    word_start s (i + 1)
+  else i
 
-let normalise_word w =
-  let w = String.lowercase_ascii w in
+let rec word_stop s i =
+  if i < String.length s && is_alnum (String.unsafe_get s i) then
+    word_stop s (i + 1)
+  else i
+
+let fold_spans f s acc =
+  let n = String.length s in
+  let rec go i acc =
+    let i = word_start s i in
+    if i >= n then acc
+    else
+      let j = word_stop s i in
+      go j (f s i j acc)
+  in
+  go 0 acc
+
+(* [s.[i..j-1]], lower-cased in the one copy that extracts it. *)
+let lower_sub s i j =
+  let b = Bytes.create (j - i) in
+  for k = 0 to j - i - 1 do
+    Bytes.unsafe_set b k (Char.lowercase_ascii (String.unsafe_get s (i + k)))
+  done;
+  Bytes.unsafe_to_string b
+
+let words s =
+  List.rev (fold_spans (fun s i j acc -> String.sub s i (j - i) :: acc) s [])
+
+let fold_lower_words f s acc =
+  fold_spans (fun s i j acc -> f (lower_sub s i j) acc) s acc
+
+let exists_lower_word p s =
+  let n = String.length s in
+  let rec go i =
+    let i = word_start s i in
+    i < n
+    &&
+    let j = word_stop s i in
+    p (lower_sub s i j) || go j
+  in
+  go 0
+
+module Word_tbl = Hashtbl.Make (String)
+
+type word_set = unit Word_tbl.t
+
+let word_set words =
+  let t = Word_tbl.create (2 * List.length words) in
+  List.iter (fun w -> Word_tbl.replace t w ()) words;
+  t
+
+let mem_word = Word_tbl.mem
+
+(* The plural strip on an already lower-cased word. *)
+let strip_plural w =
   let n = String.length w in
   if n > 3 && w.[n - 1] = 's' && w.[n - 2] <> 's' then String.sub w 0 (n - 1)
   else w
+
+let normalise_word w = strip_plural (String.lowercase_ascii w)
 
 let stop_words =
   [
@@ -30,10 +79,18 @@ let stop_words =
     "ha"; "has"; "have"; "had"; "which"; "who"; "whom"; "what"; "where";
   ]
 
+let stop_set = word_set stop_words
+
+let content_of_lower w =
+  let w = strip_plural w in
+  if mem_word stop_set w then None else Some w
+
 let content_words s =
-  words s
-  |> List.map normalise_word
-  |> List.filter (fun w -> not (List.mem w stop_words))
+  List.rev
+    (fold_lower_words
+       (fun w acc ->
+         match content_of_lower w with Some c -> c :: acc | None -> acc)
+       s [])
 
 let sentences s =
   let out = ref [] in
@@ -105,38 +162,37 @@ let levenshtein a b =
     prev.(lb)
   end
 
-let symbolic_digraphs = [ "=>"; "->"; "|-"; "<->"; ":-"; "/\\"; "\\/" ]
-
-let symbolic_utf8 =
-  [ "\xc2\xac" (* ¬ *); "\xe2\x88\xa7" (* ∧ *); "\xe2\x88\xa8" (* ∨ *);
-    "\xe2\x86\x92" (* → *); "\xe2\x87\x92" (* ⇒ *); "\xe2\x88\x80" (* ∀ *);
-    "\xe2\x88\x83" (* ∃ *) ]
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 || nn > nh then false
-  else
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub hay i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
-
-(* An applied-term shape like [wcet(task_1, 250)]: an identifier directly
-   followed by an opening parenthesis. *)
-let has_applied_term s =
+(* One allocation-free pass over the bytes.  The needles: the ASCII
+   digraphs [=>], [->] (which also covers [<->]), [|-], [:-], [/\] and
+   [\/]; [&]; the UTF-8 encodings of [¬] (C2 AC), [∧] [∨] [∀] [∃]
+   (E2 88 A7/A8/80/83), [→] (E2 86 92) and [⇒] (E2 87 92); and an
+   applied-term shape like [wcet(task_1, 250)] — an identifier byte
+   directly followed by an opening parenthesis. *)
+let contains_symbolic_notation s =
   let n = String.length s in
+  (* Byte [i], or NUL past the end — no needle continues with NUL. *)
+  let at i = if i < n then String.unsafe_get s i else '\000' in
   let rec go i =
-    if i >= n then false
-    else if s.[i] = '(' && i > 0 && (is_alnum s.[i - 1] || s.[i - 1] = '_')
-    then true
-    else go (i + 1)
+    i < n
+    && ((match String.unsafe_get s i with
+        | '&' -> true
+        | '=' | '-' -> at (i + 1) = '>'
+        | '|' | ':' -> at (i + 1) = '-'
+        | '/' -> at (i + 1) = '\\'
+        | '\\' -> at (i + 1) = '/'
+        | '\xc2' -> at (i + 1) = '\xac'
+        | '\xe2' -> (
+            match (at (i + 1), at (i + 2)) with
+            | '\x88', ('\xa7' | '\xa8' | '\x80' | '\x83')
+            | ('\x86' | '\x87'), '\x92' ->
+                true
+            | _ -> false)
+        | '(' ->
+            i > 0
+            &&
+            let p = String.unsafe_get s (i - 1) in
+            is_alnum p || p = '_'
+        | _ -> false)
+       || go (i + 1))
   in
   go 0
-
-let contains_symbolic_notation s =
-  List.exists (contains_substring s) symbolic_digraphs
-  || List.exists (contains_substring s) symbolic_utf8
-  || contains_substring s "&"
-  || has_applied_term s

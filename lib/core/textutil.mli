@@ -12,13 +12,32 @@ val words : string -> string list
     ["The thrust-reversers are inhibited"] gives
     [["The"; "thrust"; "reversers"; "are"; "inhibited"]]. *)
 
+val fold_lower_words : (string -> 'a -> 'a) -> string -> 'a -> 'a
+(** Folds over {!words} in order, each word lower-cased as it is
+    extracted — one pass over the text, one copy per word. *)
+
+val exists_lower_word : (string -> bool) -> string -> bool
+(** Whether some word of {!words}, lower-cased, satisfies the
+    predicate; stops at the first that does. *)
+
+type word_set
+(** A hashed set of words, for constant-time marker tests. *)
+
+val word_set : string list -> word_set
+val mem_word : word_set -> string -> bool
+
 val normalise_word : string -> string
 (** Lowercases and strips a trailing ['s] or [s] plural suffix of words
     longer than three characters — a deliberately light stemmer, enough
     to make ["Banks"] and ["bank"] compare equal in the lint. *)
 
+val content_of_lower : string -> string option
+(** The content form of one already lower-cased word: its
+    {!normalise_word} form, or [None] for an English stop word. *)
+
 val content_words : string -> string list
-(** {!words}, normalised, with English stop words removed. *)
+(** {!words}, normalised, with English stop words removed:
+    {!fold_lower_words} through {!content_of_lower}. *)
 
 val sentences : string -> string list
 (** Splits on [.!?] boundaries; drops empty sentences. *)
@@ -39,4 +58,5 @@ val contains_symbolic_notation : string -> bool
     symbolic logic: [=>], [->], [&], [|-], [¬], [∧], [∨], [→], [⇒],
     [∀], [∃], [(x)] variable-ish parenthesised terms such as
     [wcet(task_1, 250)].  Used to classify node text as formal or
-    natural-language (survey research question 2). *)
+    natural-language (survey research question 2).  One pass over the
+    bytes, allocation-free. *)

@@ -440,10 +440,13 @@ let p_case st =
   in
   let title = p_string st "case title" in
   ignore (expect st TLbrace "'{'");
-  let structure = ref Structure.empty in
+  (* Reversed accumulators, built once by [Structure.of_nodes]: the
+     result of folding [add_node]/[add_evidence]/[connect] in source
+     order, but O(n log n) where the fold's appends and scans are
+     quadratic in the case size. *)
+  let nodes = ref [] and evidence = ref [] and links = ref [] in
   let enums = ref [] in
   let attrs = ref [] in
-  let pending_links = ref [] in
   let seen_ids = Hashtbl.create 16 in
   let rec items () =
     match advance st with
@@ -460,7 +463,7 @@ let p_case st =
         attrs := !attrs @ [ p_attr st !enums ];
         items ()
     | { kind = Word "evidence"; _ } ->
-        structure := Structure.add_evidence (p_evidence st) !structure;
+        evidence := p_evidence st :: !evidence;
         items ()
     | { kind = Word w; loc } when List.mem w node_type_words ->
         let node, supported, contexts = p_node st w in
@@ -471,15 +474,11 @@ let p_case st =
                (Id.to_string node.Node.id))
         else begin
           Hashtbl.add seen_ids node.Node.id ();
-          structure := Structure.add_node node !structure;
-          pending_links :=
-            !pending_links
-            @ List.map
-                (fun d -> (Structure.Supported_by, node.Node.id, d))
-                supported
-            @ List.map
-                (fun d -> (Structure.In_context_of, node.Node.id, d))
-                contexts
+          nodes := node :: !nodes;
+          let src = Id.to_string node.Node.id in
+          let link kind d = links := (kind, src, Id.to_string d) :: !links in
+          List.iter (link Structure.Supported_by) supported;
+          List.iter (link Structure.In_context_of) contexts
         end;
         items ()
     | { loc; _ } ->
@@ -491,9 +490,8 @@ let p_case st =
   in
   items ();
   let structure =
-    List.fold_left
-      (fun s (kind, src, dst) -> Structure.connect kind ~src ~dst s)
-      !structure !pending_links
+    Structure.of_nodes ~links:(List.rev !links) ~evidence:(List.rev !evidence)
+      (List.rev !nodes)
   in
   {
     module_name;

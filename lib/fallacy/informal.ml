@@ -63,18 +63,44 @@ let ignorance_phrases =
     "no counterexample";
   ]
 
-let contains_ci hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 || nn > nh then false
-  else
-    let rec go i =
-      if i + nn > nh then false else String.sub hay i nn = needle || go (i + 1)
-    in
-    go 0
+(* One pass over the text, comparing phrases in place under ASCII case
+   folding (the phrases are lower-case ASCII).  Only the phrases whose
+   first letter matches the byte at an offset are tried there. *)
+let phrases_by_first_byte =
+  let t = Array.make 256 [] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun c -> t.(Char.code c) <- p :: t.(Char.code c))
+        [ p.[0]; Char.uppercase_ascii p.[0] ])
+    ignorance_phrases;
+  t
+
+let phrase_at text i phrase =
+  let m = String.length phrase in
+  i + m <= String.length text
+  &&
+  let rec go k =
+    k >= m
+    || Char.lowercase_ascii (String.unsafe_get text (i + k))
+       = String.unsafe_get phrase k
+       && go (k + 1)
+  in
+  go 0
+
+let rec any_phrase_at text i = function
+  | [] -> false
+  | p :: ps -> phrase_at text i p || any_phrase_at text i ps
 
 let argues_from_ignorance text =
-  List.exists (contains_ci text) ignorance_phrases
+  let n = String.length text in
+  let rec go i =
+    i < n
+    && (any_phrase_at text i
+          phrases_by_first_byte.(Char.code (String.unsafe_get text i))
+       || go (i + 1))
+  in
+  go 0
 
 (* Path enumeration on a dense DAG is exponential and a lint need not
    be exhaustive, so the circular-support walk always runs under a

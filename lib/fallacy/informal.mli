@@ -25,8 +25,9 @@ val equivocation_candidates : Argus_prolog.Program.t -> string list
 
 val argues_from_ignorance : string -> bool
 (** The text-level predicate behind ["informal/argument-from-ignorance"]
-    (case-insensitive phrase scan), exposed so the fused array-IR
-    checker ({!Argus_ir.Fused}) shares it. *)
+    (one case-insensitive pass, comparing each phrase in place),
+    exposed so the fused array-IR checker ({!Argus_ir.Fused}) shares
+    it. *)
 
 val default_walk_fuel : int
 (** Fuel of the internal budget the circular-support walk runs under

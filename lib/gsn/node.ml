@@ -70,11 +70,12 @@ let verb_markers =
     "correct"; "safe"; "secure"; "sufficient"; "valid"; "complete";
   ]
 
+let verb_set = Argus_core.Textutil.word_set verb_markers
+let is_verb_marker w = Argus_core.Textutil.mem_word verb_set w
+
 let looks_propositional text =
-  if Argus_core.Textutil.contains_symbolic_notation text then true
-  else
-    let words = List.map String.lowercase_ascii (Argus_core.Textutil.words text) in
-    List.exists (fun w -> List.mem w verb_markers) words
+  Argus_core.Textutil.contains_symbolic_notation text
+  || Argus_core.Textutil.exists_lower_word is_verb_marker text
 
 let type_to_string = function
   | Goal -> "goal"

@@ -72,6 +72,11 @@ val looks_propositional : string -> bool
     not being one.  We flag goal text with no finite-verb marker (no
     "is"/"are"/"holds"/"shall"/"meets"/..., no [->]) as suspect. *)
 
+val is_verb_marker : string -> bool
+(** Whether a lower-cased word is one of {!looks_propositional}'s
+    finite-verb markers (a hashed set).  Lets a caller that already
+    tokenises the text test the markers in the same pass. *)
+
 val type_to_string : node_type -> string
 val type_of_string : string -> node_type option
 (** Inverse of {!type_to_string} for the simple types; modular types

@@ -57,11 +57,11 @@ let has_placeholder text =
 
 let universal_markers = [ "all"; "always"; "never"; "every"; "any" ]
 
+let universal_set = Argus_core.Textutil.word_set universal_markers
+let is_universal_marker w = Argus_core.Textutil.mem_word universal_set w
+
 let claims_universally text =
-  let words =
-    List.map String.lowercase_ascii (Argus_core.Textutil.words text)
-  in
-  List.exists (fun w -> List.mem w universal_markers) words
+  Argus_core.Textutil.exists_lower_word is_universal_marker text
 
 (* Checker counters (catalogue in DESIGN.md). *)
 let c_nodes_visited = Argus_obs.Counter.make "gsn.wf.nodes_visited"

@@ -58,3 +58,7 @@ val has_placeholder : string -> bool
 val claims_universally : string -> bool
 (** Text contains a universal marker ("all", "always", "never",
     "every", "any") — the paper's wcet example hinges on one. *)
+
+val is_universal_marker : string -> bool
+(** Whether a lower-cased word is one of {!claims_universally}'s
+    markers (a hashed set). *)

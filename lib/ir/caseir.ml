@@ -85,19 +85,39 @@ let c_patched = Argus_obs.Counter.make "ir.patched"
 
 (* Everything the checkers derive from one node payload, independent of
    the surrounding graph — the unit of hash-consing for the store's
-   arena. *)
+   arena.  One tokenizer pass lower-cases each word once, keeps its
+   content form and tests it against the universal and verb marker
+   sets; the symbolic-notation and ignorance scans are one byte pass
+   each.  Equal to composing the public predicates
+   ([Textutil.content_words], [Wellformed.claims_universally],
+   [Node.looks_propositional], [Informal.argues_from_ignorance]), which
+   wrap the same scanners; test/oracle keeps the list-based originals
+   as the differential oracle. *)
 let derive (n : Node.t) =
   let text = n.Node.text in
-  let words = Textutil.content_words text in
   let gl = Node.is_goal_like n.Node.node_type in
+  let goal = n.Node.node_type = Node.Goal in
+  let universal = ref false and verb = ref false in
+  let rev_words =
+    Textutil.fold_lower_words
+      (fun w acc ->
+        if gl && (not !universal) && Wellformed.is_universal_marker w then
+          universal := true;
+        if goal && (not !verb) && Node.is_verb_marker w then verb := true;
+        match Textutil.content_of_lower w with
+        | Some c -> c :: acc
+        | None -> acc)
+      text []
+  in
+  let words = List.rev rev_words in
   {
     d_goal_like = gl;
     d_norm = String.concat " " words;
     d_content = words;
     d_ignorance = Informal.argues_from_ignorance text;
-    d_universal = (if gl then Wellformed.claims_universally text else false);
+    d_universal = !universal;
     d_propositional =
-      (if n.Node.node_type = Node.Goal then Node.looks_propositional text
+      (if goal then !verb || Textutil.contains_symbolic_notation text
        else true);
   }
 

@@ -176,8 +176,7 @@ let logged t
 
 let put ?(ruleset = Argus_gsn.Wellformed.Standard) t structure =
   logged t (fun () ->
-      let prior = Store.find t.store (Store.digest_of structure) in
-      let digest = Store.put ~ruleset t.store structure in
+      let digest, prior = Store.put_replacing ~ruleset t.store structure in
       let rollback () =
         (* A re-put replaced live state (last ruleset wins): restore
            it; a fresh put just un-binds. *)

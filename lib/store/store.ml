@@ -451,14 +451,21 @@ let locked store f =
 
 (* --- operations --- *)
 
-let put ?(ruleset = Wellformed.Standard) store structure =
+let put_replacing ?(ruleset = Wellformed.Standard) store structure =
   locked store (fun () ->
       let st = fresh_state ruleset in
       rebuild store st structure;
       st.conf <- None;
+      let prior =
+        Option.map
+          (fun old -> (old.ruleset, old.structure))
+          (Hashtbl.find_opt store.cases st.digest)
+      in
       Hashtbl.replace store.cases st.digest st;
       update_gauge store;
-      st.digest)
+      (st.digest, prior))
+
+let put ?ruleset store structure = fst (put_replacing ?ruleset store structure)
 
 let mem store digest =
   locked store (fun () -> Hashtbl.mem store.cases digest)

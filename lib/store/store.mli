@@ -73,6 +73,16 @@ val put :
     digest equal regardless of insertion order; re-putting an existing
     digest replaces its state (the last [?ruleset] wins). *)
 
+val put_replacing :
+  ?ruleset:Argus_gsn.Wellformed.ruleset ->
+  t ->
+  Argus_gsn.Structure.t ->
+  string * (Argus_gsn.Wellformed.ruleset * Argus_gsn.Structure.t) option
+(** {!put}, also returning the binding it replaced at that digest (as
+    {!find} would have answered just before), read under the same lock
+    — so a caller that may need to roll the put back interns the case
+    once, not twice. *)
+
 val patch : t -> digest:string -> edit list -> (string, error) result
 (** Apply an edit batch to the case at [digest]; the case is re-bound
     under the returned new digest (the old digest is released).  A

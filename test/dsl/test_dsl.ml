@@ -328,6 +328,173 @@ let roundtrip_property =
           && c.ontology = c'.ontology
       | Error _ -> false)
 
+(* --- Linear case assembly against the old fold --- *)
+
+module Assembly = Oracle.Assembly
+
+let node_kinds =
+  [
+    (Node.Goal, "goal"); (Node.Strategy, "strategy");
+    (Node.Solution, "solution"); (Node.Context, "context");
+    (Node.Assumption, "assumption"); (Node.Justification, "justification");
+  ]
+
+(* Random declaration lists with repeated node ids, repeated and
+   dangling link targets, and evidence (also with repeated ids)
+   interleaved with the nodes. *)
+let gen_items =
+  let open QCheck.Gen in
+  let node_id = map (Printf.sprintf "G%d") (int_range 1 6) in
+  let target =
+    oneof [ node_id; map (Printf.sprintf "X%d") (int_range 1 2) ]
+  in
+  let node =
+    map3
+      (fun (id, ty) (text, supported) contexts ->
+        let node_type, _ = List.nth node_kinds ty in
+        Assembly.Node
+          ( Node.make ~id:(Id.of_string id) ~node_type text,
+            List.map Id.of_string supported,
+            List.map Id.of_string contexts ))
+      (pair node_id (int_range 0 (List.length node_kinds - 1)))
+      (pair
+         (oneofl [ "The system is safe"; "Argue over hazards"; "Tests" ])
+         (list_size (int_range 0 4) target))
+      (list_size (int_range 0 2) target)
+  in
+  let evidence =
+    map3
+      (fun id kind text ->
+        Assembly.Evidence (Evidence.make ~id:(Id.of_string id) ~kind text))
+      (map (Printf.sprintf "E%d") (int_range 1 3))
+      (oneofl [ Evidence.Analysis; Evidence.Test_results ])
+      (oneofl [ "Timing analysis"; "HIL campaign" ])
+  in
+  let* items = list_size (int_range 0 25) (frequency [ (4, node); (1, evidence) ]) in
+  (* Half the cases renumber their nodes G1, G2, ... so they parse
+     clean and the assembled structure itself is compared. *)
+  let renumber items =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (k, acc) -> function
+              | Assembly.Node (n, sup, ctx) ->
+                  let id = Id.of_string (Printf.sprintf "G%d" k) in
+                  (k + 1, Assembly.Node ({ n with Node.id }, sup, ctx) :: acc)
+              | e -> (k, e :: acc))
+            (1, []) items))
+  in
+  map (fun unique -> if unique then renumber items else items) bool
+
+(* One declaration per line, from line 2. *)
+let render_items items =
+  let ids l = String.concat ", " (List.map Id.to_string l) in
+  let line = function
+    | Assembly.Evidence e ->
+        Printf.sprintf "  evidence %s %s %S" (Id.to_string e.Evidence.id)
+          (Evidence.kind_to_string e.Evidence.kind)
+          e.Evidence.description
+    | Assembly.Node (n, supported, contexts) ->
+        let clause kw = function [] -> "" | l -> Printf.sprintf " %s %s" kw (ids l) in
+        let body =
+          match (supported, contexts) with
+          | [], [] -> ""
+          | _ ->
+              Printf.sprintf " {%s%s }"
+                (clause "supported-by" supported)
+                (clause "in-context-of" contexts)
+        in
+        Printf.sprintf "  %s %s %S%s"
+          (List.assoc n.Node.node_type node_kinds)
+          (Id.to_string n.Node.id) n.Node.text body
+  in
+  String.concat "\n"
+    (("case \"generated\" {" :: List.map line items) @ [ "}" ])
+
+let assembly_matches_fold =
+  QCheck.Test.make ~name:"linear assembly = add_node/connect fold" ~count:500
+    (QCheck.make ~print:render_items gen_items)
+    (fun items ->
+      let expected, dups = Assembly.assemble items in
+      match (parse (render_items items), dups) with
+      | Ok c, [] ->
+          let s = c.structure in
+          List.equal Node.equal (Structure.nodes s) (Structure.nodes expected)
+          && Structure.links s = Structure.links expected
+          && List.equal Evidence.equal (Structure.evidence s)
+               (Structure.evidence expected)
+      | Error ds, _ :: _ ->
+          (* Each skipped redeclaration is reported at its own line. *)
+          let lines =
+            List.concat
+              (List.mapi
+                 (fun i -> function
+                   | Assembly.Node (n, _, _) -> [ (n.Node.id, i + 2) ]
+                   | Assembly.Evidence _ -> [])
+                 items)
+          in
+          let seen = Hashtbl.create 8 in
+          let expected_diags =
+            List.filter_map
+              (fun (id, line) ->
+                if Hashtbl.mem seen id then
+                  Some
+                    ( "dsl/duplicate-id",
+                      [ id ],
+                      Printf.sprintf "node %s declared twice" (Id.to_string id),
+                      line )
+                else (
+                  Hashtbl.add seen id ();
+                  None))
+              lines
+          in
+          let got =
+            List.map
+              (fun d ->
+                ( d.Diagnostic.code,
+                  d.Diagnostic.subjects,
+                  d.Diagnostic.message,
+                  match d.Diagnostic.loc with
+                  | Some l -> l.Argus_core.Loc.start.Argus_core.Loc.line
+                  | None -> 0 ))
+              ds
+          in
+          List.length expected_diags = List.length dups
+          && List.sort compare got = List.sort compare expected_diags
+      | _ -> false)
+
+(* Allocation is deterministic, so it pins the assembly's complexity
+   without timing noise: minor words per node must stay flat from 1000
+   to 8000 nodes (the old append-and-scan fold grew ~8x). *)
+let big_case n =
+  let b = Buffer.create (n * 96) in
+  Buffer.add_string b "case \"big\" {\n  context C1 \"Operating envelope\"\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b
+      "  goal G%d \"Claim %d is acceptably safe\" { supported-by G%d, G%d \
+       in-context-of C1 }\n"
+      i i ((2 * i) + 1) ((2 * i) + 2)
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+let words_per_node n =
+  let text = big_case n in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  (match parse_collection text with
+  | Ok [ c ] -> assert (Structure.size c.structure = n + 1)
+  | _ -> Alcotest.fail "big case did not parse");
+  (Gc.minor_words () -. before) /. float n
+
+let test_parse_linear_alloc () =
+  let small = words_per_node 1000 and large = words_per_node 8000 in
+  if large > 1.5 *. small then
+    Alcotest.failf
+      "parse allocation grows with case size: %.0f words/node at 1000 \
+       nodes, %.0f at 8000"
+      small large
+
 let () =
   Alcotest.run "argus-dsl"
     [
@@ -365,5 +532,11 @@ let () =
         [
           Alcotest.test_case "sample round-trip" `Quick test_roundtrip;
           QCheck_alcotest.to_alcotest roundtrip_property;
+        ] );
+      ( "assembly",
+        [
+          QCheck_alcotest.to_alcotest assembly_matches_fold;
+          Alcotest.test_case "parse allocation linear in nodes" `Quick
+            test_parse_linear_alloc;
         ] );
     ]

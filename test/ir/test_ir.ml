@@ -473,6 +473,261 @@ let check_modular_matches_legacy =
               [ (false, None); (true, None); (false, Some 3); (true, Some 3) ])
           rulesets)
 
+(* --- One-pass text derivation against the list-based oracle --- *)
+
+module Text_oracle = Oracle.Text
+module Textutil = Argus_core.Textutil
+module Greenwell = Argus_fallacy.Greenwell
+module Prop = Argus_logic.Prop
+module Dsl = Argus_dsl.Dsl
+
+let node_types =
+  let m = Id.of_string "M" in
+  [
+    Node.Goal; Node.Strategy; Node.Solution; Node.Context; Node.Assumption;
+    Node.Justification; Node.Away_goal m; Node.Module_ref m; Node.Contract m;
+  ]
+
+(* Every production predicate and [Caseir.derive] (at every node type)
+   that disagrees with its oracle on [text], by name. *)
+let text_mismatches text =
+  let pred name prod orac = if prod text = orac text then [] else [ name ] in
+  List.concat
+    [
+      pred "words" Textutil.words Text_oracle.words;
+      pred "content_words" Textutil.content_words Text_oracle.content_words;
+      pred "contains_symbolic_notation" Textutil.contains_symbolic_notation
+        Text_oracle.contains_symbolic_notation;
+      pred "argues_from_ignorance" Informal.argues_from_ignorance
+        Text_oracle.argues_from_ignorance;
+      pred "claims_universally" Wellformed.claims_universally
+        Text_oracle.claims_universally;
+      pred "looks_propositional" Node.looks_propositional
+        Text_oracle.looks_propositional;
+    ]
+  @ List.filter_map
+      (fun node_type ->
+        let n = Node.make ~id:(Id.of_string "N1") ~node_type text in
+        if Caseir.derive n = Text_oracle.derive n then None
+        else Some ("derive/" ^ Node.type_to_string node_type))
+      node_types
+
+let check_texts texts =
+  List.iter
+    (fun text ->
+      match text_mismatches text with
+      | [] -> ()
+      | bad ->
+          Alcotest.failf "%S: production differs from the oracle in %s" text
+            (String.concat ", " bad))
+    texts
+
+let symbols =
+  [
+    "=>"; "->"; "<->"; "|-"; ":-"; "/\\"; "\\/"; "&"; "wcet("; "f_1(";
+    "\xc2\xac"; "\xe2\x88\xa7"; "\xe2\x88\xa8"; "\xe2\x86\x92";
+    "\xe2\x87\x92"; "\xe2\x88\x80"; "\xe2\x88\x83";
+  ]
+
+(* The scanners' boundary cases, checked on every run and seeded into
+   the random generator. *)
+let edge_texts =
+  [
+    "";
+    "(";
+    "(x) holds";
+    "x(";
+    "_(";
+    "the system is safe =>";
+    "a ->";
+    "p :-";
+    "p \\/";
+    "p /\\";
+    "q |-";
+    "ok &";
+    "there is no counterexample";
+    "There Is NO COUNTEREXAMPLE";
+    "\xe2\x88";
+    "ends with a truncated symbol \xe2\x88";
+    "\xe2";
+    "\xc2";
+    "\xe2\x88\xa7";
+    "Banks";
+    "class";
+    "does";
+    "Banks class does";
+    "BANKS CLASS DOES";
+    "All";
+    "ANY";
+    "is";
+    "- > = > | -";
+    "<-";
+    "no evidence tha";
+  ]
+
+(* Every string in the Greenwell corpus: system, description, and each
+   premise and conclusion rendered as formula text. *)
+let greenwell_texts =
+  List.concat_map
+    (fun i ->
+      let a = i.Greenwell.argument in
+      i.Greenwell.system :: i.Greenwell.description
+      :: Prop.to_string a.Argus_fallacy.Formal.conclusion
+      :: List.map Prop.to_string a.Argus_fallacy.Formal.premises)
+    Greenwell.corpus
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let files_in dir suffix =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* The string literals of an OCaml source — ["..."] with escapes, and
+   [{|...|}] — which hold every node text the examples build. *)
+let string_literals src =
+  let n = String.length src in
+  let out = ref [] in
+  let rec go i =
+    if i >= n then ()
+    else if src.[i] = '"' then begin
+      let b = Buffer.create 32 in
+      let rec lit j =
+        if j >= n then j
+        else
+          match src.[j] with
+          | '"' -> j + 1
+          | '\\' when j + 1 < n ->
+              Buffer.add_char b '\\';
+              Buffer.add_char b src.[j + 1];
+              lit (j + 2)
+          | c ->
+              Buffer.add_char b c;
+              lit (j + 1)
+      in
+      let j = lit (i + 1) in
+      let raw = Buffer.contents b in
+      out := (try Scanf.unescaped raw with _ -> raw) :: !out;
+      go j
+    end
+    else if i + 1 < n && src.[i] = '{' && src.[i + 1] = '|' then begin
+      let stop =
+        let rec find j =
+          if j + 1 >= n then n
+          else if src.[j] = '|' && src.[j + 1] = '}' then j
+          else find (j + 1)
+        in
+        find (i + 2)
+      in
+      out := String.sub src (i + 2) (stop - i - 2) :: !out;
+      go (stop + 2)
+    end
+    else go (i + 1)
+  in
+  go 0;
+  List.rev !out
+
+(* Node texts of every case a DSL source holds (none if it does not
+   parse). *)
+let dsl_node_texts src =
+  match Dsl.parse_collection src with
+  | Ok cases ->
+      List.concat_map
+        (fun c -> List.map (fun n -> n.Node.text) (Structure.nodes c.Dsl.structure))
+        cases
+  | Error _ -> []
+
+let example_texts () =
+  List.concat_map
+    (fun f ->
+      let lits = string_literals (read_file f) in
+      lits @ List.concat_map dsl_node_texts lits)
+    (files_in "../../examples" ".ml")
+
+let fixture_texts () =
+  List.concat_map
+    (fun f -> dsl_node_texts (read_file f))
+    (files_in "../cli" ".arg")
+
+let test_text_edges () = check_texts edge_texts
+let test_text_greenwell () = check_texts greenwell_texts
+
+let test_text_examples () =
+  let ex = example_texts () and fx = fixture_texts () in
+  if List.length ex < 50 || List.length fx < 20 then
+    Alcotest.failf "too few texts found (%d in examples, %d in fixtures)"
+      (List.length ex) (List.length fx);
+  check_texts ex;
+  check_texts fx
+
+(* Marker, verb and stop words, plural-strip cases, and words from the
+   ignorance phrases. *)
+let vocabulary =
+  [
+    "all"; "always"; "never"; "every"; "any"; "is"; "are"; "holds"; "shall";
+    "meets"; "does"; "do"; "safe"; "correct"; "inhibited"; "the"; "a"; "of";
+    "no"; "not"; "has"; "have"; "ha"; "doe"; "been"; "Banks"; "class";
+    "glass"; "bus"; "was"; "its"; "evidence"; "that"; "observed"; "shown";
+    "counterexample"; "absence"; "report"; "system"; "hazards"; "x1";
+  ]
+
+(* Upper-cases the bytes of [s] whose position picks a set bit of
+   [mask]. *)
+let flip_case mask s =
+  String.mapi
+    (fun i c ->
+      if (mask lsr (i mod 30)) land 1 = 1 then Char.uppercase_ascii c else c)
+    s
+
+let gen_text =
+  let open QCheck.Gen in
+  let word =
+    map2 flip_case int
+      (frequency
+         [
+           (4, oneofl vocabulary);
+           (2, oneofl symbols);
+           (1, map (String.make 1) (oneofl [ '\xe2'; '\xc2'; '\x88'; '(' ]));
+           (1, oneofl [ "\xe2\x88"; "\xe2\x86"; "\xe2\x87" ]);
+           (2, string_size ~gen:printable (int_range 1 6));
+         ])
+  in
+  let sep = oneofl [ " "; " "; " "; ""; ", "; "."; "-"; "_"; "\n"; "(" ] in
+  let mixed =
+    map
+      (fun parts -> String.concat "" (List.concat_map (fun (w, s) -> [ w; s ]) parts))
+      (list_size (int_range 0 14) (pair word sep))
+  in
+  (* An ignorance phrase in random case, spliced in at a random offset
+     (the start and the very end included). *)
+  let spliced =
+    map3
+      (fun base phrase (at, mask) ->
+        let at = at mod (String.length base + 1) in
+        String.sub base 0 at ^ flip_case mask phrase
+        ^ String.sub base at (String.length base - at))
+      mixed
+      (oneofl Text_oracle.ignorance_phrases)
+      (pair nat int)
+  in
+  frequency
+    [
+      (1, oneofl edge_texts);
+      (6, mixed);
+      (3, spliced);
+      (2, string_size ~gen:char (int_range 0 40));
+    ]
+
+let derive_matches_oracle =
+  QCheck.Test.make ~name:"derive and predicates = list-based oracle (random texts)"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_text)
+    (fun text ->
+      match text_mismatches text with
+      | [] -> true
+      | bad -> QCheck.Test.fail_reportf "differs in %s" (String.concat ", " bad))
+
 let () =
   Alcotest.run "argus-ir"
     [
@@ -485,5 +740,14 @@ let () =
           QCheck_alcotest.to_alcotest fused_matches_legacy_on_random_structures;
           QCheck_alcotest.to_alcotest set_node_parity;
           QCheck_alcotest.to_alcotest check_modular_matches_legacy;
+        ] );
+      ( "text",
+        [
+          Alcotest.test_case "edge texts = oracle" `Quick test_text_edges;
+          Alcotest.test_case "greenwell corpus = oracle" `Quick
+            test_text_greenwell;
+          Alcotest.test_case "examples and fixtures = oracle" `Quick
+            test_text_examples;
+          QCheck_alcotest.to_alcotest derive_matches_oracle;
         ] );
     ]
