@@ -15,7 +15,6 @@ module Queries = Argus_survey.Queries
 module Informal = Argus_fallacy.Informal
 module Formal = Argus_fallacy.Formal
 module Greenwell = Argus_fallacy.Greenwell
-module Engine = Argus_prolog.Engine
 module Compile = Argus_prolog.Compile
 module Exec = Argus_prolog.Exec
 module Caseir = Argus_ir.Caseir
@@ -67,10 +66,10 @@ let survey_counts () =
 let figure1 () =
   section "Figure 1: the Desert Bank argument";
   let goal = Result.get_ok (Term.of_string "adjacent(desert_bank, river)") in
-  (match Engine.prove Informal.desert_bank goal with
+  (match Exec.prove_term Informal.desert_bank goal with
   | Some d ->
       Format.printf "formally derivable (as the paper shows):@.%a"
-        Engine.pp_derivation d
+        Exec.pp_derivation d
   | None -> Format.printf "NOT derivable — mismatch with the paper!@.");
   Format.printf "equivocation candidates flagged for human review: %s@."
     (String.concat ", "
@@ -164,6 +163,12 @@ let experiments () =
 
 (* --- Proof-to-argument size (the Basir 'too many details' point) --- *)
 
+(* No error findings from the fused checker (warnings allowed). *)
+let well_formed s =
+  not
+    (Argus_core.Diagnostic.has_errors
+       (Fused.check ~lints:false (Caseir.intern s)).Fused.wf)
+
 let proofgen_sizes () =
   section "Proof-to-argument abstraction (Basir et al.'s complaint)";
   let p = Prop.of_string_exn in
@@ -190,8 +195,7 @@ let proofgen_sizes () =
         "generated argument: %d nodes; after abstraction: %d nodes \
          (well-formed before and after: %b/%b)@."
         (Proofgen.node_count g) (Proofgen.node_count a)
-        (Wellformed.is_well_formed g)
-        (Wellformed.is_well_formed a)
+        (well_formed g) (well_formed a)
 
 (* --- Bechamel micro-benchmarks --- *)
 
@@ -640,7 +644,7 @@ let bench_subjects =
     Test.make ~name:"figure1-resolution" (Staged.stage (fun () ->
         ignore (Exec.provable fig1_cp fig1_q)));
     Test.make ~name:"prolog-compiled-vs-interpreted" (Staged.stage (fun () ->
-        ignore (Engine.provable Informal.desert_bank goal)));
+        ignore (Oracle.Prolog.provable Informal.desert_bank goal)));
     Test.make ~name:"ir-intern-cost" (Staged.stage (fun () ->
         ignore (Caseir.intern deep_case)));
     Test.make ~name:"fused-corpus-check" (Staged.stage (fun () ->
@@ -665,7 +669,7 @@ let bench_subjects =
     Test.make ~name:"natded-check" (Staged.stage (fun () ->
         ignore (Natded.check haley)));
     Test.make ~name:"gsn-wellformed" (Staged.stage (fun () ->
-        ignore (Wellformed.check sample_case)));
+        ignore (Oracle.Wellformed.check sample_case)));
     Test.make ~name:"pattern-instantiate-8" (Staged.stage (fun () ->
         ignore (Pattern.instantiate hazard_pattern binding)));
     Test.make ~name:"syllogism-all-256" (Staged.stage (fun () ->
@@ -690,7 +694,7 @@ let bench_subjects =
     Test.make ~name:"ablation-cnf-direct" (Staged.stage (fun () ->
         ignore (Sat.solve (Sat.cnf_of_prop ablation_formula))));
     Test.make ~name:"ablation-wf-with-cycle-check" (Staged.stage (fun () ->
-        ignore (Wellformed.check deep_case)));
+        ignore (Oracle.Wellformed.check deep_case)));
     Test.make ~name:"ablation-hicase-visible-depth1" (Staged.stage (fun () ->
         ignore
           (Argus_gsn.Hicase.visible
@@ -846,7 +850,7 @@ let bench_subjects =
        disarmed cost. *)
     Test.make ~name:"rt-budget-overhead-prolog" (Staged.stage (fun () ->
         let b = Argus_rt.Budget.make ~fuel:max_int () in
-        ignore (Engine.provable ~budget:b Informal.desert_bank goal)));
+        ignore (Exec.provable ~budget:b fig1_cp fig1_q)));
     Test.make ~name:"rt-budget-overhead-dpll" (Staged.stage (fun () ->
         let b = Argus_rt.Budget.make ~fuel:max_int () in
         ignore (Sat.satisfiable ~budget:b prop_formula)));

@@ -11,7 +11,6 @@ module Hicase = Argus_gsn.Hicase
 module Cae = Argus_cae.Cae
 module Informal = Argus_fallacy.Informal
 module Program = Argus_prolog.Program
-module Engine = Argus_prolog.Engine
 module Exec = Argus_prolog.Exec
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
@@ -385,7 +384,7 @@ let prove_cmd =
             in
             (match result with
             | Some derivation ->
-                Format.printf "%a" Engine.pp_derivation derivation;
+                Format.printf "%a" Exec.pp_derivation derivation;
                 warn ();
                 0
             | None ->
@@ -1342,11 +1341,8 @@ let top_cmd =
         || counter "store.reused_verdicts" > 0.
         || counter "store.dirty_cone" > 0.
       then
-        Format.printf
-          "store: nodes %d   node-hits %.0f   reused-verdicts %.0f   \
-           dirty-cone %.0f@."
+        Format.printf "store: nodes %d   reused-verdicts %.0f   dirty-cone %.0f@."
           store_nodes
-          (counter "store.node_hits")
           (counter "store.reused_verdicts")
           (counter "store.dirty_cone");
       let breakers = obj "breakers" in

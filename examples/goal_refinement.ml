@@ -8,9 +8,15 @@ module Kaos = Argus_kaos.Kaos
 module Ltl = Argus_ltl.Ltl
 module Id = Argus_core.Id
 module Structure = Argus_gsn.Structure
-module Wellformed = Argus_gsn.Wellformed
+module Fused = Argus_ir.Fused
 
 let ltl = Ltl.of_string_exn
+
+(* Well-formed: the fused checker finds no errors (warnings allowed). *)
+let well_formed s =
+  not
+    (Argus_core.Diagnostic.has_errors
+       (Fused.check ~lints:false (Argus_ir.Caseir.intern s)).Fused.wf)
 
 let uav =
   Kaos.empty
@@ -72,7 +78,7 @@ let () =
   let gsn = Kaos.to_gsn uav in
   Format.printf "@.Derived GSN argument (%d nodes, well-formed: %b):@.%a"
     (Structure.size gsn)
-    (Wellformed.is_well_formed gsn)
+    (well_formed gsn)
     Structure.pp_outline gsn;
   Format.printf
     "@.As Brunel & Cazin themselves note: the ultimate objective is to \

@@ -145,6 +145,3 @@ let check_with ~wf t =
         (Diagnostic.errorf ~code:"modular/dependency-cycle" ~subjects:witness
            "module dependencies are cyclic"));
   Diagnostic.sort (List.rev !out)
-
-let check t = check_with ~wf:Wellformed.check t
-let is_well_formed t = not (Diagnostic.has_errors (check t))

@@ -11,8 +11,9 @@
 
     This is the context for the syntax rule the paper quotes
     ("solutions cannot be in the context of an away goal", enforced
-    per-module by {!Wellformed.check}); here the cross-module half of
-    the story is checked. *)
+    per-module by the single-case checker); here the cross-module half
+    of the story is checked.  {!Argus_ir.Fused.check_modular} runs the
+    whole collection. *)
 
 type t
 (** A collection of named modules. *)
@@ -37,9 +38,12 @@ val dependencies : Argus_core.Id.t -> t -> Argus_core.Id.t list
 (** Modules this module cites via away goals, module references or
     contracts, without duplicates. *)
 
-val check : t -> Argus_core.Diagnostic.t list
-(** Runs {!Wellformed.check} on each module (diagnostics prefixed with
-    the module name in the message), plus
+val check_with :
+  wf:(Structure.t -> Argus_core.Diagnostic.t list) ->
+  t ->
+  Argus_core.Diagnostic.t list
+(** Runs [wf] on each module, once per module in module order
+    (diagnostics prefixed with the module name in the message), plus
     the cross-module rules, codes under ["modular/"]:
     - ["modular/unknown-module"] — an away goal, module reference or
       contract names a module not in the collection;
@@ -49,16 +53,8 @@ val check : t -> Argus_core.Diagnostic.t list
     - ["modular/private-goal"] (warning) — the cited goal exists but is
       not public;
     - ["modular/dependency-cycle"] — the module dependency graph is
-      cyclic. *)
+      cyclic.
 
-val check_with :
-  wf:(Structure.t -> Argus_core.Diagnostic.t list) ->
-  t ->
-  Argus_core.Diagnostic.t list
-(** {!check} with the per-module well-formedness checker injected —
-    the seam that lets a compiled checker (lib/ir's fused pass) run
-    per module while the cross-module rules stay here.  [wf] runs
-    once per module, in module order.  [wf] must be extensionally
-    equal to {!Wellformed.check} for the result to match {!check}. *)
-
-val is_well_formed : t -> bool
+    Injecting [wf] is the seam that lets the compiled checker
+    ({!Argus_ir.Fused.check_modular}) run per module while the
+    cross-module rules stay here. *)

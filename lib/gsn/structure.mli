@@ -7,8 +7,8 @@
     link kinds, {e SupportedBy} and {e InContextOf}.
 
     The structure is persistent (functional updates) and deliberately
-    permissive: anything can be connected, and {!Wellformed.check}
-    reports the violations — which is what lets the toolkit represent
+    permissive: anything can be connected, and the well-formedness
+    checker ({!Argus_ir.Fused.check}) reports the violations — which is what lets the toolkit represent
     the malformed arguments the experiments need. *)
 
 type link = Supported_by | In_context_of

@@ -1,4 +1,6 @@
-(** Well-formedness checking of GSN structures.
+(** Well-formedness rules of GSN structures: the rule sets and the
+    per-link / per-node predicates the checker ({!Argus_ir.Fused})
+    applies.
 
     Two rule sets:
 
@@ -19,32 +21,11 @@
 
 type ruleset = Standard | Denney_pai_2013
 
-val check :
-  ?ruleset:ruleset -> Structure.t -> Argus_core.Diagnostic.t list
-(** Diagnostics carry codes under ["gsn/"].  Errors:
-    ["gsn/dangling-link"], ["gsn/bad-support-link"],
-    ["gsn/bad-context-link"], ["gsn/solution-in-context-of-away-goal"],
-    ["gsn/cycle"], ["gsn/no-root"], ["gsn/unsupported-goal"],
-    ["gsn/undeveloped-strategy"], ["gsn/unknown-evidence"],
-    ["gsn/empty-text"], ["gsn/placeholder-text"], and (strict set only)
-    ["gsn/dp-goal-under-goal"].  Warnings: ["gsn/multiple-roots"],
-    ["gsn/root-not-goal"], ["gsn/undeveloped-with-support"],
-    ["gsn/solution-without-evidence"], ["gsn/unreachable"],
-    ["gsn/non-propositional-goal"], ["gsn/uninstantiated"],
-    ["gsn/weak-evidence"]. *)
-
-val is_well_formed : ?ruleset:ruleset -> Structure.t -> bool
-(** No errors (warnings allowed). *)
-
-val error_codes : string list
-(** All error codes the checker can emit, for the experiment harness's
-    defect classification. *)
-
 (** {2 Rule predicates}
 
-    The pure per-link / per-node predicates behind the checker, exposed
-    so the fused array-IR checker ({!Argus_ir.Fused}) applies literally
-    the same rules rather than a re-transcription of them. *)
+    The pure per-link / per-node predicates, shared by the fused
+    array-IR checker ({!Argus_ir.Fused}) and the test-only list-walking
+    oracle so both apply literally the same rules. *)
 
 val support_target_ok : Node.node_type -> Node.node_type -> bool
 (** [support_target_ok src dst]: may [src] be supported by [dst]? *)

@@ -25,14 +25,10 @@
    and the texts are immutable once interned, so these are plain
    arrays.  [ir.interned] counts interning passes.
 
-   Two extensions serve the incremental store (lib/store).  [intern]
-   takes an optional [?derive] hook so a caller can hash-cons the text
-   derivations across cases — re-interning a patched structure then
-   skips [Textutil.content_words] and friends for every node payload
-   already seen.  And [set_node] patches the flat entity arrays in
-   place for a payload-only edit (same id, same links, same
-   contextual-ness), so a one-node text edit never rebuilds the CSR
-   adjacency at all.  [ir.patched] counts in-place patches. *)
+   For the incremental store (lib/store), [set_node] patches the flat
+   entity arrays in place for a payload-only edit (same id, same links,
+   same contextual-ness), so a one-node text edit never rebuilds the
+   CSR adjacency at all.  [ir.patched] counts in-place patches. *)
 
 module Id = Argus_core.Id
 module Textutil = Argus_core.Textutil
@@ -84,11 +80,10 @@ let c_interned = Argus_obs.Counter.make "ir.interned"
 let c_patched = Argus_obs.Counter.make "ir.patched"
 
 (* Everything the checkers derive from one node payload, independent of
-   the surrounding graph — the unit of hash-consing for the store's
-   arena.  One tokenizer pass lower-cases each word once, keeps its
-   content form and tests it against the universal and verb marker
-   sets; the symbolic-notation and ignorance scans are one byte pass
-   each.  Equal to composing the public predicates
+   the surrounding graph.  One tokenizer pass lower-cases each word
+   once, keeps its content form and tests it against the universal and
+   verb marker sets; the symbolic-notation and ignorance scans are one
+   byte pass each.  Equal to composing the public predicates
    ([Textutil.content_words], [Wellformed.claims_universally],
    [Node.looks_propositional], [Informal.argues_from_ignorance]), which
    wrap the same scanners; test/oracle keeps the list-based originals
@@ -121,7 +116,7 @@ let derive (n : Node.t) =
        else true);
   }
 
-let intern ?(derive = derive) structure =
+let intern structure =
   Argus_obs.Counter.incr c_interned;
   let nodes = Array.of_list (Structure.nodes structure) in
   let n_nodes = Array.length nodes in
@@ -273,46 +268,6 @@ let intern ?(derive = derive) structure =
 
 let entity_index ir id = Hashtbl.find_opt ir.index (Id.to_string id)
 
-(* A process-wide, bounded, domain-safe memo of [derive], keyed by the
-   payload content the derivations read (type and text) — the
-   derivation half of hash-consing a node.  Re-interning a structure
-   whose payloads were seen before (the modular checker's per-module
-   passes, the store's shape-edit rebuilds) skips the text analysis
-   entirely; for a small module that analysis is ~90% of the intern
-   cost.  FIFO eviction keeps the table bounded, and evicting never
-   changes a result — a miss just re-derives.  [ir.derive_hits]
-   counts hits. *)
-let derive_memo_capacity = 1 lsl 16
-
-let derive_tbl : (string, derived) Hashtbl.t = Hashtbl.create 4096
-let derive_fifo : string Queue.t = Queue.create ()
-let derive_mu = Mutex.create ()
-let c_derive_hits = Argus_obs.Counter.make "ir.derive_hits"
-
-let payload_key (n : Node.t) =
-  Digest.string (Node.type_to_string n.Node.node_type ^ "\x00" ^ n.Node.text)
-
-let derive_cached n =
-  let key = payload_key n in
-  Mutex.lock derive_mu;
-  match Hashtbl.find_opt derive_tbl key with
-  | Some d ->
-      Mutex.unlock derive_mu;
-      Argus_obs.Counter.incr c_derive_hits;
-      d
-  | None ->
-      Mutex.unlock derive_mu;
-      let d = derive n in
-      Mutex.lock derive_mu;
-      if not (Hashtbl.mem derive_tbl key) then begin
-        Hashtbl.add derive_tbl key d;
-        Queue.add key derive_fifo;
-        if Queue.length derive_fifo > derive_memo_capacity then
-          Hashtbl.remove derive_tbl (Queue.pop derive_fifo)
-      end;
-      Mutex.unlock derive_mu;
-      d
-
 (* Payload-only patch: replace node [i]'s payload and its cached text
    derivations in the flat arrays, leaving the entity table, CSR
    adjacency, roots and reachability untouched — they are functions of
@@ -325,7 +280,7 @@ let derive_cached n =
    the argument must not be used afterwards.  [structure] is the
    already-edited source the returned IR should carry (for evidence
    lookups). *)
-let set_node ?(derive = derive) ir structure i n =
+let set_node ir structure i n =
   if i < 0 || i >= ir.n_nodes then invalid_arg "Caseir.set_node: index";
   let old = ir.nodes.(i) in
   if not (Id.equal old.Node.id n.Node.id) then

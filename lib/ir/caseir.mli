@@ -19,10 +19,9 @@
     — is computed a single time and amortised over every subsequent
     {!Fused.check}.  [ir.interned] counts interning passes.
 
-    For the incremental store (lib/store), [intern] accepts a
-    [?derive] hook so text derivations can be hash-consed across
-    cases, and {!set_node} patches the flat arrays in place for
-    payload-only edits ([ir.patched] counts them). *)
+    For the incremental store (lib/store), {!set_node} patches the flat
+    arrays in place for payload-only edits ([ir.patched] counts
+    them). *)
 
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
@@ -38,8 +37,7 @@ type derived = {
           [Goal]. *)
 }
 (** Everything the checkers derive from one node payload, independent
-    of the surrounding graph — the unit of hash-consing for the
-    store's node arena. *)
+    of the surrounding graph. *)
 
 type t = {
   structure : Argus_gsn.Structure.t;  (** The source, for evidence lookups. *)
@@ -76,26 +74,15 @@ type t = {
 (** Treat all fields as read-only; the checkers index them freely. *)
 
 val derive : Argus_gsn.Node.t -> derived
-(** The default per-payload derivation — exactly what {!intern}
-    computes per node when no hook is given. *)
+(** The per-payload derivation {!intern} and {!set_node} compute for
+    each node. *)
 
-val intern : ?derive:(Argus_gsn.Node.t -> derived) -> Argus_gsn.Structure.t -> t
-(** [?derive] (default {!derive}) computes the per-node text
-    derivations; a caller may substitute a memoised version — it must
-    be extensionally equal to {!derive}. *)
+val intern : Argus_gsn.Structure.t -> t
 
 val entity_index : t -> Argus_core.Id.t -> int option
 (** The entity index of an id the structure mentions, if any. *)
 
-val derive_cached : Argus_gsn.Node.t -> derived
-(** {!derive} through a process-wide, bounded, domain-safe memo keyed
-    by the payload content the derivations read (type and text) —
-    extensionally equal to {!derive}, so safe as {!intern}'s hook.
-    FIFO eviction; a miss just re-derives.  [ir.derive_hits] counts
-    hits. *)
-
 val set_node :
-  ?derive:(Argus_gsn.Node.t -> derived) ->
   t ->
   Argus_gsn.Structure.t ->
   int ->

@@ -2,11 +2,11 @@
    and the CAE rules, each run as index walks over an interned case
    instead of three independent tree traversals over [Structure.t].
 
-   This is a reimplementation, not a refactor: {!Argus_gsn.Wellformed},
-   {!Argus_fallacy.Informal} and {!Argus_cae.Cae} keep their list-walk
-   code and serve as the differential oracle (test/ir holds the two to
-   byte-identical diagnostic lists, the same pattern the compiled
-   Prolog engine uses against the interpreter).  Everything observable
+   This is a reimplementation, not a refactor: the list-walking
+   checkers it replaced live on in test/oracle as the differential
+   oracle (test/ir holds the two to byte-identical diagnostic lists,
+   the same pattern the compiled Prolog engine uses against the
+   interpreter).  Everything observable
    is preserved: diagnostics and their order after {!Diagnostic.sort}
    (the per-code emission orders below match the legacy per-code orders,
    and the sort is stable), the [gsn.wf.*] counters, the
@@ -383,9 +383,7 @@ let assemble ~wf ~informal =
 (* --- Modular --- *)
 
 (* The modular checker compiled onto the IR: each module is interned
-   once — through the process-wide derivation memo, so a daemon
-   re-checking a collection re-derives no text — and runs one fused
-   pass: well-formedness under the ruleset, plus the lints when asked.
+   once and runs one fused pass: well-formedness under the ruleset, plus the lints when asked.
    The cross-module rules (away goals, module references, dependency
    cycles) stay in {!Argus_gsn.Modular}.  [check_with] calls [wf] once
    per module in module order, so the lint findings collected on the
@@ -395,15 +393,14 @@ let check_modular ?ruleset ?budget ~lints m =
   let informal = ref [] in
   let wf =
     Argus_gsn.Modular.check_with m ~wf:(fun s ->
-        let ir = Caseir.intern ~derive:Caseir.derive_cached s in
+        let ir = Caseir.intern s in
         let r = check ?ruleset ?budget ~lints ir in
         informal := r.informal :: !informal;
         r.wf)
   in
   { wf; informal = List.concat (List.rev !informal) }
 
-(* Lints alone, for callers that would have invoked only
-   {!Argus_fallacy.Informal.check_structure} — no [gsn.wf.*] counters,
+(* Lints alone, for callers that only lint — no [gsn.wf.*] counters,
    no [gsn.wellformed*] spans, just the informal findings. *)
 let lint ?budget (ir : Caseir.t) =
   Counter.incr c_fused;

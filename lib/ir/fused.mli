@@ -2,22 +2,39 @@
     in one pass over an interned case ({!Caseir}), and the CAE rules
     over an interned CAE graph.
 
-    A reimplementation with the legacy checkers as differential oracle:
-    {!check} produces byte-identical diagnostic lists to
-    {!Argus_gsn.Wellformed.check} and
-    {!Argus_fallacy.Informal.check_structure} on the same structure —
-    same findings, same order, same budget tick accounting for the
-    circular-support walk — and {!check_cae} likewise matches
-    {!Argus_cae.Cae.check} (test/ir holds them to it).  The
+    The one shipped implementation of these checks.  The list-walking
+    checkers it was compiled from live on as test-only differential
+    oracles ([Oracle.Wellformed], [Oracle.Informal], [Oracle.Cae],
+    [Oracle.Modular] in test/oracle): {!check} produces byte-identical
+    diagnostic lists to them on the same structure — same findings,
+    same order, same budget tick accounting for the circular-support
+    walk — and {!check_cae} likewise (test/ir holds them to it).  The
     [gsn.wf.*] counters and [gsn.wellformed*] spans fire exactly as
-    the legacy checker's do; [ir.fused_passes] counts fused passes. *)
+    the oracle's do; [ir.fused_passes] counts fused passes. *)
 
 type result = {
   wf : Argus_core.Diagnostic.t list;
-      (** As {!Argus_gsn.Wellformed.check}. *)
+      (** Well-formedness under the rule set, codes under ["gsn/"].
+          Errors: ["gsn/dangling-link"], ["gsn/bad-support-link"],
+          ["gsn/bad-context-link"],
+          ["gsn/solution-in-context-of-away-goal"], ["gsn/cycle"],
+          ["gsn/no-root"], ["gsn/unsupported-goal"],
+          ["gsn/undeveloped-strategy"], ["gsn/unknown-evidence"],
+          ["gsn/empty-text"], ["gsn/placeholder-text"], and (strict set
+          only) ["gsn/dp-goal-under-goal"].  Warnings:
+          ["gsn/multiple-roots"], ["gsn/root-not-goal"],
+          ["gsn/undeveloped-with-support"],
+          ["gsn/solution-without-evidence"], ["gsn/unreachable"],
+          ["gsn/non-propositional-goal"], ["gsn/uninstantiated"],
+          ["gsn/weak-evidence"]. *)
   informal : Argus_core.Diagnostic.t list;
-      (** As {!Argus_fallacy.Informal.check_structure}; [[]] when the
-          pass ran with [~lints:false]. *)
+      (** The informal-fallacy lints, warnings under ["informal/"]:
+          ["informal/circular-support"] (a descendant goal restates an
+          ancestor goal's normalised text),
+          ["informal/argument-from-ignorance"] (text argues from absence
+          of evidence) and ["informal/equivocation-candidate"] (one
+          content word shared by sibling goals with otherwise-disjoint
+          vocabulary).  [[]] when the pass ran with [~lints:false]. *)
 }
 
 val check :
@@ -26,20 +43,18 @@ val check :
   ?lints:bool ->
   Caseir.t ->
   result
-(** [budget] governs only the circular-support walk, exactly as in
-    {!Argus_fallacy.Informal.check_structure}: when absent the walk
-    runs under an internal {!Argus_fallacy.Informal.default_walk_fuel}
-    budget whose exhaustion is reported in [informal].  [lints]
-    (default [true]) set to [false] skips the lints — and hence never
-    touches the budget, matching a caller that never invoked the
-    legacy lint entry point. *)
+(** [budget] governs only the circular-support walk, and the caller
+    then owns reporting its exhaustion: when absent the walk runs under
+    an internal {!Argus_fallacy.Informal.default_walk_fuel} budget whose
+    exhaustion is reported in [informal] as an ["rt/budget-exhausted"]
+    warning.  [lints] (default [true]) set to [false] skips the lints —
+    and hence never touches the budget. *)
 
 val lint :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list
-(** The informal lints alone — byte-identical to
-    {!Argus_fallacy.Informal.check_structure}, without firing any
-    [gsn.wf.*] counters or [gsn.wellformed*] spans, for callers that
-    only lint. *)
+(** The informal lints alone — byte-identical to {!check}'s
+    [informal], without firing any [gsn.wf.*] counters or
+    [gsn.wellformed*] spans, for callers that only lint. *)
 
 (** {2 Per-unit entry points}
 
@@ -92,11 +107,9 @@ val check_modular :
   Argus_gsn.Modular.t ->
   result
 (** The modular checker compiled onto the IR: each module is interned
-    once (through {!Caseir.derive_cached}) and runs one {!check} with
-    [ruleset], [budget] and [lints]; the cross-module rules come from
-    {!Argus_gsn.Modular}.  [wf] is byte-identical to
-    [Argus_gsn.Modular.check_with ~wf:(Argus_gsn.Wellformed.check ?ruleset)],
-    and [informal] to {!lint} over each module concatenated in module
+    once and runs one {!check} with [ruleset], [budget] and [lints];
+    the cross-module rules come from {!Argus_gsn.Modular.check_with}.
+    [informal] is {!lint} over each module concatenated in module
     order, one budget spent across all of them. *)
 
 type cae_ir
@@ -104,4 +117,8 @@ type cae_ir
 val intern_cae : Argus_cae.Cae.t -> cae_ir
 
 val check_cae : cae_ir -> Argus_core.Diagnostic.t list
-(** Byte-identical to {!Argus_cae.Cae.check}. *)
+(** The CAE well-formedness rules, codes under ["cae/"]:
+    ["cae/dangling-link"], ["cae/claim-without-argument"],
+    ["cae/multiple-arguments"], ["cae/empty-argument"],
+    ["cae/evidence-not-leaf"], ["cae/bad-support"], ["cae/cycle"],
+    ["cae/no-root"], ["cae/empty-text"]. *)

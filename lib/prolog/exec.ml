@@ -3,16 +3,23 @@ module Symbol = Argus_core.Symbol
 module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
 
+type derivation = {
+  goal : Term.t;
+  clause_index : int;
+  children : derivation list;
+}
+
 (* Bytecode executor for {!Compile}d programs.
 
    Runtime terms use destructive binding: a variable is a mutable cell,
    bound once and undone on backtracking via the trail, so resolving a
-   goal never rebuilds substitution lists the way the interpreted
-   engine does.  Backtracking is an explicit choice-point stack (one
+   goal never rebuilds substitution lists the way an SLD interpreter
+   does.  Backtracking is an explicit choice-point stack (one
    record per goal with untried candidates) instead of the
    interpreter's Seq-of-closures.
 
-   The machine is counter- and budget-exact with [Engine.solve]: both
+   The machine is counter- and budget-exact with the interpreter it
+   replaced ([Oracle.Prolog.solve], test-only): both
    admit identical candidate lists (hits/misses), tick the budget once
    per candidate tried, count one unification per candidate and one
    backtrack per failed head match, give body goals [depth - 1] and
@@ -61,7 +68,7 @@ type state = {
           reads it, so the decision entry points skip the per-resolution
           node and slot allocations entirely. *)
   (* Counter traffic batched into locals, flushed once per call — same
-     reasoning as [Engine.provable]: a sharded increment costs ~10x a
+     reasoning as the interpreter's [provable]: a sharded increment costs ~10x a
      plain one. *)
   mutable s_tries : int;
   mutable s_unifs : int;
@@ -268,9 +275,9 @@ let admitted (cp : Compile.t) g =
 type solution_action = Continue | Stop
 
 (* The resolution loop.  [skip_level] selects the interpreter flavour
-   being mirrored on budget exhaustion: [Engine.solve]'s lazy Seq still
+   being mirrored on budget exhaustion: the interpreter's lazy [solve] Seq still
    offers every remaining candidate one (failing) tick as it unwinds,
-   while [Engine.provable] abandons a whole candidate list at the first
+   while its [provable] abandons a whole candidate list at the first
    failing tick — step counts must match whichever oracle the caller
    diffs against.  All calls are tail calls: deep searches cost heap
    (the choice-point list), not stack. *)
@@ -377,9 +384,9 @@ let rec readback t =
   | Struct (f, args) -> Term.App (f, List.map readback (Array.to_list args))
   | Ref c -> Term.Var ("_G" ^ string_of_int c.vid)
 
-let rec extract (n : node) : Engine.derivation =
+let rec extract (n : node) : derivation =
   {
-    Engine.goal = readback n.d_rt;
+    goal = readback n.d_rt;
     clause_index = n.d_idx;
     children =
       List.map
@@ -521,7 +528,7 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
   let on_solution () =
     st.s_sols <- st.s_sols + 1;
     ignore (Budget.note_solution budget ~engine:"prolog");
-    (* Single-goal queries only, like [Engine.prove]'s [[ deriv ]]
+    (* Single-goal queries only, like the interpreter's [[ deriv ]]
        pattern: a conjunction has no single root derivation. *)
     if Array.length slots = 1 then begin
       match !(slots.(0)) with
@@ -537,7 +544,7 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
         ~on_solution);
   !result
 
-(* Convenience entry points mirroring the [Engine] signatures: compile
+(* Convenience entry points over source programs and terms: compile
    (through the caches) and run.  The query compiles per call — cheap
    next to the search, and the CLI paths that use these run one query
    per process anyway; hot callers should pre-compile with
@@ -553,3 +560,14 @@ let solutions_term ?max_depth ?budget ?limit program goal =
 
 let prove_term ?max_depth ?budget program goal =
   prove ?max_depth ?budget (Compile.program program) (Compile.query [ goal ])
+
+let rec derivation_size d =
+  1 + List.fold_left (fun acc c -> acc + derivation_size c) 0 d.children
+
+let pp_derivation ppf deriv =
+  let rec go indent d =
+    Format.fprintf ppf "%s%a   [clause %d]@." indent Term.pp d.goal
+      d.clause_index;
+    List.iter (go (indent ^ "  ")) d.children
+  in
+  go "" deriv

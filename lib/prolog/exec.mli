@@ -1,7 +1,8 @@
 (** Bytecode execution of {!Compile}d programs: destructive-binding
     runtime terms, a trail, and an explicit choice-point stack.
 
-    Exactly the search {!Engine.solve} performs — same candidate
+    Exactly the search of the SLD interpreter it replaced (the
+    test-only [Oracle.Prolog.solve]) performs — same candidate
     admission (so the [prolog.index_*] counters agree), same
     clause-try/unification/backtrack accounting, same depth semantics
     (body goals one deeper, siblings level), same budget tick per
@@ -14,6 +15,15 @@
     and fault probes mirror the interpreter's
     ([prolog.provable]/[prolog.solutions]/[prolog.prove], probe
     ["prolog.solve"] / ["prolog.provable"]). *)
+
+type derivation = {
+  goal : Argus_logic.Term.t;  (** The resolved goal, fully instantiated. *)
+  clause_index : int;  (** Index of the program clause used (0-based). *)
+  children : derivation list;  (** One per body goal of that clause. *)
+}
+(** Which clause resolved each goal — the raw material the
+    proof-to-argument generator and the Figure 1 demonstration
+    render. *)
 
 val provable :
   ?max_depth:int ->
@@ -39,9 +49,9 @@ val prove :
   ?budget:Argus_rt.Budget.t ->
   Compile.t ->
   Compile.query ->
-  Engine.derivation option
+  derivation option
 (** First derivation of a single-goal query, fully instantiated —
-    clause indices identical to {!Engine.prove}'s. *)
+    clause indices identical to the interpreter's. *)
 
 (** Compile-and-run conveniences (program through the per-domain cache,
     query compiled per call) for one-shot callers like the CLI. *)
@@ -66,4 +76,8 @@ val prove_term :
   ?budget:Argus_rt.Budget.t ->
   Program.t ->
   Argus_logic.Term.t ->
-  Engine.derivation option
+  derivation option
+
+val derivation_size : derivation -> int
+val pp_derivation : Format.formatter -> derivation -> unit
+(** Indented tree: goal, then the clause used, then sub-derivations. *)

@@ -1,18 +1,11 @@
 (* The incremental assurance-case store: content-addressed cases,
-   hash-consed node derivations, Merkle-style digests and memoized
-   per-node verdicts.
+   Merkle-style digests and memoized per-node verdicts.
 
    The heavy-traffic workload is many clients mutating large living
    cases, each edit needing a fast re-verdict — not one-shot batch
    checks.  A full re-check of a 100k-node case pays a full intern
    plus a full fused pass per edit; here an edit re-checks only its
    dirty cone:
-
-   - {e Node arena.}  Per-payload text derivations (content words,
-     the universal/propositional/ignorance predicates) are hash-consed
-     in a bounded table keyed by payload digest, so re-interning a
-     patched structure skips the text analysis for every payload seen
-     before ([store.node_hits] counts hits).
 
    - {e Merkle digests.}  Each node carries a digest covering its
      payload, its id, and the digests of its SupportedBy /
@@ -80,7 +73,6 @@ type verdict = {
   from_memo : bool;
 }
 
-let c_node_hits = Counter.make "store.node_hits"
 let c_reused = Counter.make "store.reused_verdicts"
 let c_dirty = Counter.make "store.dirty_cone"
 let g_nodes = Gauge.make "store.nodes"
@@ -119,44 +111,20 @@ type case_state = {
 type t = {
   mu : Mutex.t;
   cases : (string, case_state) Hashtbl.t;
-  arena : (string, Caseir.derived) Hashtbl.t;
-  arena_fifo : string Queue.t;
-  arena_capacity : int;
   memo : (string, Diagnostic.t list * Diagnostic.t list) Hashtbl.t;
   memo_fifo : string Queue.t;
   memo_capacity : int;
 }
 
 let create ?(memo_capacity = 1 lsl 18) () =
+  if memo_capacity < 1 then invalid_arg "Store.create: memo_capacity < 1";
   {
     mu = Mutex.create ();
     cases = Hashtbl.create 16;
-    arena = Hashtbl.create 1024;
-    arena_fifo = Queue.create ();
-    arena_capacity = max 16 memo_capacity;
     memo = Hashtbl.create 1024;
     memo_fifo = Queue.create ();
-    memo_capacity = max 16 memo_capacity;
+    memo_capacity;
   }
-
-(* --- the node arena: hash-consed payload derivations --- *)
-
-let payload_key (n : Node.t) =
-  Digest.string (Node.type_to_string n.Node.node_type ^ "\x00" ^ n.Node.text)
-
-let arena_derive store n =
-  let key = payload_key n in
-  match Hashtbl.find_opt store.arena key with
-  | Some d ->
-      Counter.incr c_node_hits;
-      d
-  | None ->
-      let d = Caseir.derive n in
-      Hashtbl.add store.arena key d;
-      Queue.add key store.arena_fifo;
-      if Queue.length store.arena_fifo > store.arena_capacity then
-        Hashtbl.remove store.arena (Queue.pop store.arena_fifo);
-      d
 
 (* --- digests --- *)
 
@@ -393,11 +361,11 @@ let build_ctx_in (ir : Caseir.t) =
     ir.Caseir.link_kind;
   ctx_in
 
-(* Full (re)build from a structure: intern through the arena, then
-   recompute digests, keys, per-node verdicts (mostly memo hits after
-   a shape edit) and the link/shape findings. *)
+(* Full (re)build from a structure: intern, then recompute digests,
+   keys, per-node verdicts (mostly memo hits after a shape edit) and
+   the link/shape findings. *)
 let rebuild store st structure =
-  let ir = Caseir.intern ~derive:(arena_derive store) structure in
+  let ir = Caseir.intern structure in
   let n = ir.Caseir.n_nodes in
   st.structure <- structure;
   st.ir <- ir;
@@ -645,9 +613,7 @@ let patch store ~digest edits =
                   match Caseir.entity_index st.ir id with
                   | None -> ()
                   | Some i ->
-                      st.ir <-
-                        Caseir.set_node ~derive:(arena_derive store) st.ir
-                          structure i n';
+                      st.ir <- Caseir.set_node st.ir structure i n';
                       seeds := i :: !seeds)
                 payload_edits;
               st.structure <- structure;
@@ -672,8 +638,7 @@ let patch store ~digest edits =
               Hashtbl.replace store.cases st.digest st;
               Ok st.digest
           | Ok (structure, None) ->
-              (* A shape edit: rebuild through the arena and the
-                 verdict memo — O(n) hashing, but only the nodes whose
+              (* A shape edit: rebuild through the verdict memo — O(n) hashing, but only the nodes whose
                  inputs actually changed are re-checked. *)
               rebuild store st structure;
               st.conf <- None;

@@ -6,11 +6,9 @@
     per-node findings into a result byte-identical to a full
     {!Argus_ir.Fused.check} of the same structure.
 
-    Three layers of reuse make an edit of one node in a 100k-node case
+    Two layers of reuse make an edit of one node in a 100k-node case
     near-constant instead of a full re-check:
 
-    - a {e node arena} hash-consing per-payload text derivations
-      across cases ([store.node_hits]);
     - {e Merkle-style digests} — each node's digest covers its payload
       and its children's digests, folded into an order-independent
       128-bit sum, so a payload edit re-digests only its ancestor
@@ -24,7 +22,7 @@
     live nodes across cases. *)
 
 type t
-(** A store: cases keyed by digest, plus the shared arena and memo. *)
+(** A store: cases keyed by digest, plus the shared verdict memo. *)
 
 type edit =
   | Set_text of Argus_core.Id.t * string
@@ -60,9 +58,10 @@ val default_trust : Argus_core.Evidence.t -> float
 (** Uniform 0.9, the experiments' baseline trust. *)
 
 val create : ?memo_capacity:int -> unit -> t
-(** [memo_capacity] (default [2^18]) bounds both the arena and the
-    verdict memo; FIFO eviction, and eviction never changes results —
-    a miss just re-derives. *)
+(** [memo_capacity] (default [2^18]) bounds the verdict memo, in
+    entries, exactly as given; FIFO eviction, and eviction never
+    changes results — a miss just re-checks the node.  Raises
+    [Invalid_argument] if [memo_capacity < 1]. *)
 
 val put :
   ?ruleset:Argus_gsn.Wellformed.ruleset ->

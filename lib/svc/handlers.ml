@@ -5,7 +5,6 @@ module Dsl = Argus_dsl.Dsl
 module Wellformed = Argus_gsn.Wellformed
 module Informal = Argus_fallacy.Informal
 module Program = Argus_prolog.Program
-module Engine = Argus_prolog.Engine
 module Exec = Argus_prolog.Exec
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
@@ -102,7 +101,7 @@ let prove (req : Protocol.request) ~budget =
                     | None -> Json.Null
                     | Some d ->
                         Json.Str
-                          (Format.asprintf "%a" Engine.pp_derivation d) );
+                          (Format.asprintf "%a" Exec.pp_derivation d) );
                 ]
                 @
                 if warnings = [] then []

@@ -66,7 +66,7 @@ let test_sample_well_formed () =
   Alcotest.(check (list string)) "well-formed" []
     (List.map
        (fun d -> d.Diagnostic.code)
-       (Wellformed.check sample.structure))
+       (Oracle.Wellformed.check sample.structure))
 
 let test_metadata_valid () =
   Alcotest.(check (list string)) "metadata valid" []
@@ -216,7 +216,7 @@ let test_collection_to_modular () =
       Alcotest.(check (list string)) "clean" []
         (List.map
            (fun d -> d.Diagnostic.code)
-           (Argus_gsn.Modular.check collection))
+           (Oracle.Modular.check collection))
 
 let test_collection_detects_bad_away_goal () =
   let broken =
@@ -233,7 +233,7 @@ let test_collection_detects_bad_away_goal () =
     (List.mem "modular/unknown-module"
        (List.map
           (fun d -> d.Diagnostic.code)
-          (Argus_gsn.Modular.check collection)))
+          (Oracle.Modular.check collection)))
 
 let test_unnamed_module_rejected () =
   let cases =

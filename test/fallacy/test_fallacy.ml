@@ -1,7 +1,7 @@
 open Argus_fallacy
 module Prop = Argus_logic.Prop
 module Syllogism = Argus_logic.Syllogism
-module Engine = Argus_prolog.Engine
+module Exec = Argus_prolog.Exec
 module Term = Argus_logic.Term
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
@@ -156,7 +156,7 @@ let test_machine_help_nonempty () =
 let test_desert_bank_proves_but_lint_flags () =
   let goal = Result.get_ok (Term.of_string "adjacent(desert_bank, river)") in
   Alcotest.(check bool) "formally derivable" true
-    (Engine.provable Informal.desert_bank goal);
+    (Exec.provable_term Informal.desert_bank goal);
   Alcotest.(check (list string))
     "equivocation candidate is exactly 'bank'" [ "bank" ]
     (Informal.equivocation_candidates Informal.desert_bank)
@@ -193,7 +193,7 @@ let test_circular_support () =
           Node.status = Node.Undeveloped };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (Oracle.Informal.check_structure s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/circular-support" cs)
 
@@ -209,7 +209,7 @@ let test_argument_from_ignorance () =
         };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (Oracle.Informal.check_structure s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/argument-from-ignorance" cs)
 
@@ -235,7 +235,7 @@ let test_equivocation_candidate_in_structure () =
         };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (Oracle.Informal.check_structure s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/equivocation-candidate" cs)
 
@@ -253,7 +253,7 @@ let test_clean_structure_no_lints () =
       ]
   in
   Alcotest.(check (list string)) "clean" []
-    (List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s))
+    (List.map (fun d -> d.Diagnostic.code) (Oracle.Informal.check_structure s))
 
 (* --- Properties --- *)
 

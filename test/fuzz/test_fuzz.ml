@@ -109,20 +109,20 @@ let checker_totality =
   [
     QCheck.Test.make ~name:"Wellformed.check is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Wellformed.check s with _ -> true | exception _ -> false);
+        match Oracle.Wellformed.check s with _ -> true | exception _ -> false);
     QCheck.Test.make ~name:"strict ruleset is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s with
+        match Oracle.Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"informal lints are total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Argus_fallacy.Informal.check_structure s with
+        match Oracle.Informal.check_structure s with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"CAE conversion+check total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Argus_cae.Cae.check (Argus_cae.Cae.of_gsn s) with
+        match Oracle.Cae.check (Argus_cae.Cae.of_gsn s) with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"has_cycle is total on chaos" ~count:300
@@ -240,10 +240,10 @@ let budget_prolog =
         | Error e -> failwith e
       in
       let b = Budget.make ~fuel () in
-      match Argus_prolog.Engine.provable ~budget:b prolog_program goal with
+      match Argus_prolog.Exec.provable_term ~budget:b prolog_program goal with
       | r ->
           complete_or_marked b ~same:(fun () ->
-              r = Argus_prolog.Engine.provable prolog_program goal)
+              r = Argus_prolog.Exec.provable_term prolog_program goal)
       | exception _ -> false)
 
 let gen_ltl =
@@ -298,8 +298,8 @@ let budget_soundness =
 let wellformed_consistency =
   QCheck.Test.make ~name:"is_well_formed agrees with check" ~count:300
     (QCheck.make gen_chaotic_structure) (fun s ->
-      Bool.equal (Wellformed.is_well_formed s)
-        (not (Diagnostic.has_errors (Wellformed.check s))))
+      Bool.equal (Oracle.Wellformed.is_well_formed s)
+        (not (Diagnostic.has_errors (Oracle.Wellformed.check s))))
 
 let () =
   Alcotest.run "argus-fuzz"

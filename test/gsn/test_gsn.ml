@@ -107,7 +107,7 @@ let test_dot_output () =
 (* --- Wellformed --- *)
 
 let test_sample_well_formed () =
-  let ds = Wellformed.check sample in
+  let ds = Oracle.Wellformed.check sample in
   Alcotest.(check (list string)) "no findings" [] (codes ds)
 
 let test_dangling_link () =
@@ -116,7 +116,7 @@ let test_dangling_link () =
       sample
   in
   Alcotest.(check bool) "dangling" true
-    (List.mem "gsn/dangling-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/dangling-link" (codes (Oracle.Wellformed.check s)))
 
 let test_bad_support_link () =
   let s =
@@ -125,7 +125,7 @@ let test_bad_support_link () =
       [ Node.solution "Sn" "results"; Node.goal "G" "g is safe" ]
   in
   Alcotest.(check bool) "solution cannot support" true
-    (List.mem "gsn/bad-support-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/bad-support-link" (codes (Oracle.Wellformed.check s)))
 
 let test_context_under_support () =
   let s =
@@ -134,7 +134,7 @@ let test_context_under_support () =
       [ Node.goal "G" "g is safe"; Node.context "C" "ctx" ]
   in
   Alcotest.(check bool) "context is not support" true
-    (List.mem "gsn/bad-support-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/bad-support-link" (codes (Oracle.Wellformed.check s)))
 
 let test_solution_in_context_of_away_goal () =
   (* The exact rule the paper quotes from the GSN standard. *)
@@ -150,7 +150,7 @@ let test_solution_in_context_of_away_goal () =
   in
   Alcotest.(check bool) "specific code" true
     (List.mem "gsn/solution-in-context-of-away-goal"
-       (codes (Wellformed.check s)))
+       (codes (Oracle.Wellformed.check s)))
 
 let test_goal_under_goal_rulesets () =
   let s =
@@ -169,11 +169,11 @@ let test_goal_under_goal_rulesets () =
       ]
   in
   (* The GSN standard allows goal-to-goal support... *)
-  Alcotest.(check bool) "standard allows" true (Wellformed.is_well_formed s);
+  Alcotest.(check bool) "standard allows" true (Oracle.Wellformed.is_well_formed s);
   (* ...but the Denney-Pai 2013 formalisation forbids it. *)
   Alcotest.(check bool) "Denney-Pai forbids" true
     (List.mem "gsn/dp-goal-under-goal"
-       (codes (Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s)))
+       (codes (Oracle.Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s)))
 
 let test_cycle_reported () =
   let s =
@@ -185,19 +185,19 @@ let test_cycle_reported () =
         ]
       [ Node.goal "A" "a is safe"; Node.goal "B" "b is safe" ]
   in
-  let cs = codes (Wellformed.check s) in
+  let cs = codes (Oracle.Wellformed.check s) in
   Alcotest.(check bool) "cycle" true (List.mem "gsn/cycle" cs);
   Alcotest.(check bool) "no root" true (List.mem "gsn/no-root" cs)
 
 let test_unsupported_goal () =
   let s = Structure.of_nodes [ Node.goal "G" "g is safe" ] in
   Alcotest.(check bool) "unsupported" true
-    (List.mem "gsn/unsupported-goal" (codes (Wellformed.check s)));
+    (List.mem "gsn/unsupported-goal" (codes (Oracle.Wellformed.check s)));
   let ok =
     Structure.of_nodes
       [ { (Node.goal "G" "g is safe") with Node.status = Node.Undeveloped } ]
   in
-  Alcotest.(check bool) "undeveloped accepted" true (Wellformed.is_well_formed ok)
+  Alcotest.(check bool) "undeveloped accepted" true (Oracle.Wellformed.is_well_formed ok)
 
 let test_undeveloped_strategy () =
   let s =
@@ -209,7 +209,7 @@ let test_undeveloped_strategy () =
       ]
   in
   Alcotest.(check bool) "leaf strategy" true
-    (List.mem "gsn/undeveloped-strategy" (codes (Wellformed.check s)))
+    (List.mem "gsn/undeveloped-strategy" (codes (Oracle.Wellformed.check s)))
 
 let test_non_propositional_goal () =
   let s =
@@ -223,7 +223,7 @@ let test_non_propositional_goal () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/non-propositional-goal" (codes (Wellformed.check s)))
+    (List.mem "gsn/non-propositional-goal" (codes (Oracle.Wellformed.check s)))
 
 let test_placeholder_text () =
   let s =
@@ -237,7 +237,7 @@ let test_placeholder_text () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/placeholder-text" (codes (Wellformed.check s)))
+    (List.mem "gsn/placeholder-text" (codes (Oracle.Wellformed.check s)))
 
 let test_unknown_evidence () =
   let s =
@@ -249,7 +249,7 @@ let test_unknown_evidence () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/unknown-evidence" (codes (Wellformed.check s)))
+    (List.mem "gsn/unknown-evidence" (codes (Oracle.Wellformed.check s)))
 
 let test_weak_evidence () =
   (* The paper's wcet example: universal claim on unit-test evidence. *)
@@ -264,7 +264,7 @@ let test_weak_evidence () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/weak-evidence" (codes (Wellformed.check s)))
+    (List.mem "gsn/weak-evidence" (codes (Oracle.Wellformed.check s)))
 
 let test_unreachable () =
   let s =
@@ -272,14 +272,14 @@ let test_unreachable () =
       { (Node.goal "Gx" "orphan is safe") with Node.status = Node.Undeveloped }
       sample
   in
-  let cs = codes (Wellformed.check s) in
+  let cs = codes (Oracle.Wellformed.check s) in
   (* Gx is a second root (not unreachable); attach below a solution? No —
      instead an orphan context node is unreachable. *)
   Alcotest.(check bool) "second root warned" true
     (List.mem "gsn/multiple-roots" cs);
   let s2 = Structure.add_node (Node.context "Cx" "orphan context") sample in
   Alcotest.(check bool) "orphan context unreachable" true
-    (List.mem "gsn/unreachable" (codes (Wellformed.check s2)))
+    (List.mem "gsn/unreachable" (codes (Oracle.Wellformed.check s2)))
 
 (* --- Random well-formed cases, and the hicase invariant --- *)
 
@@ -341,7 +341,7 @@ let arb_wf =
 
 let generated_cases_are_well_formed =
   QCheck.Test.make ~name:"generated cases are well-formed" ~count:100 arb_wf
-    Wellformed.is_well_formed
+    Oracle.Wellformed.is_well_formed
 
 let hicase_views_stay_well_formed =
   QCheck.Test.make ~name:"every fold state yields a well-formed view"
@@ -357,7 +357,7 @@ let hicase_views_stay_well_formed =
             Hicase.collapse node.Node.id hc)
           (Hicase.of_structure s) picks
       in
-      Wellformed.is_well_formed (Hicase.visible hc))
+      Oracle.Wellformed.is_well_formed (Hicase.visible hc))
 
 let hicase_collapse_expand_roundtrip =
   QCheck.Test.make ~name:"expand undoes collapse" ~count:100 arb_wf (fun s ->
@@ -384,7 +384,7 @@ let test_hicase_depth_overview () =
   let v = Hicase.visible hc in
   Alcotest.(check bool) "root marked undeveloped" true
     ((Structure.find_exn (id "G1") v).Node.status = Node.Undeveloped);
-  Alcotest.(check bool) "view well-formed" true (Wellformed.is_well_formed v)
+  Alcotest.(check bool) "view well-formed" true (Oracle.Wellformed.is_well_formed v)
 
 let test_hicase_leaf_collapse_noop () =
   let hc = Hicase.of_structure sample in
@@ -602,7 +602,7 @@ let test_modular_away_goal_id_mismatch () =
   (* AG_PG1's id must match a goal in Powertrain; it does not, so the
      collection reports the target error. *)
   Alcotest.(check bool) "mismatch flagged" true
-    (List.mem "modular/away-goal-target" (codes (Modular.check good_collection)))
+    (List.mem "modular/away-goal-target" (codes (Oracle.Modular.check good_collection)))
 
 let matched_collection =
   (* Rename the away goal to carry the cited goal's id, the standard's
@@ -622,14 +622,14 @@ let matched_collection =
 
 let test_modular_clean () =
   Alcotest.(check (list string)) "clean" []
-    (codes (Modular.check matched_collection))
+    (codes (Oracle.Modular.check matched_collection))
 
 let test_modular_unknown_module () =
   let collection =
     Modular.empty |> Modular.add_module ~name:(id "Vehicle") system_module
   in
   Alcotest.(check bool) "unknown module" true
-    (List.mem "modular/unknown-module" (codes (Modular.check collection)))
+    (List.mem "modular/unknown-module" (codes (Oracle.Modular.check collection)))
 
 let test_modular_private_goal () =
   let collection =
@@ -646,7 +646,7 @@ let test_modular_private_goal () =
               ~dst:(id "PG1"))
   in
   Alcotest.(check bool) "private goal warned" true
-    (List.mem "modular/private-goal" (codes (Modular.check collection)))
+    (List.mem "modular/private-goal" (codes (Oracle.Modular.check collection)))
 
 let test_modular_dependency_cycle () =
   let m_a =
@@ -673,7 +673,7 @@ let test_modular_dependency_cycle () =
     |> Modular.add_module ~name:(id "B") m_b
   in
   Alcotest.(check bool) "cycle flagged" true
-    (List.mem "modular/dependency-cycle" (codes (Modular.check collection)))
+    (List.mem "modular/dependency-cycle" (codes (Oracle.Modular.check collection)))
 
 let test_modular_dependencies () =
   Alcotest.(check (list string))

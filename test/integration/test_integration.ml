@@ -92,11 +92,11 @@ let s = case.structure
 let test_parses_and_checks () =
   Alcotest.(check int) "node count" 17 (Structure.size s);
   Alcotest.(check (list string)) "well-formed" []
-    (List.map (fun d -> d.Diagnostic.code) (Wellformed.check s));
+    (List.map (fun d -> d.Diagnostic.code) (Oracle.Wellformed.check s));
   Alcotest.(check (list string)) "metadata valid" []
     (List.map (fun d -> d.Diagnostic.code) (validate_metadata case));
   Alcotest.(check (list string)) "no informal lints" []
-    (List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s))
+    (List.map (fun d -> d.Diagnostic.code) (Oracle.Informal.check_structure s))
 
 let test_queries () =
   let q = Result.get_ok (Query.of_string "sil >= 4") in
@@ -112,20 +112,20 @@ let test_queries () =
   Alcotest.(check bool) "drops other hazards" false
     (Structure.mem (Id.of_string "G_hw") trace);
   Alcotest.(check bool) "trace view well-formed" true
-    (Wellformed.is_well_formed trace)
+    (Oracle.Wellformed.is_well_formed trace)
 
 let test_views () =
   let hc = Hicase.collapse_to_depth 2 (Hicase.of_structure s) in
   let v = Hicase.visible hc in
   Alcotest.(check bool) "view smaller" true
     (Structure.size v < Structure.size s);
-  Alcotest.(check bool) "view well-formed" true (Wellformed.is_well_formed v)
+  Alcotest.(check bool) "view well-formed" true (Oracle.Wellformed.is_well_formed v)
 
 let test_cae_conversion () =
   let cae = Cae.of_gsn s in
-  Alcotest.(check bool) "CAE well-formed" true (Cae.is_well_formed cae);
+  Alcotest.(check bool) "CAE well-formed" true (Oracle.Cae.is_well_formed cae);
   Alcotest.(check bool) "round-trip GSN well-formed" true
-    (Wellformed.is_well_formed (Cae.to_gsn cae))
+    (Oracle.Wellformed.is_well_formed (Cae.to_gsn cae))
 
 let test_confidence_and_sufficiency () =
   let trust (ev : Evidence.t) =

@@ -1,7 +1,8 @@
 (* The fused array-IR checker against its legacy oracles: for every
    structure, Fused.check must render byte-identically to
-   Wellformed.check + Informal.check_structure (same findings, same
-   order, same budget ticks), and Fused.check_cae to Cae.check. *)
+   Oracle.Wellformed.check + Oracle.Informal.check_structure (same
+   findings, same order, same budget ticks), and Fused.check_cae to
+   Oracle.Cae.check. *)
 
 module Id = Argus_core.Id
 module Diagnostic = Argus_core.Diagnostic
@@ -201,12 +202,12 @@ let parity_failure name s =
   let record fmt = Printf.ksprintf (fun m -> if !fail = None then fail := Some m) fmt in
   List.iter
     (fun ruleset ->
-      let legacy_wf = Wellformed.check ~ruleset s in
+      let legacy_wf = Oracle.Wellformed.check ~ruleset s in
       let fused = Fused.check ~ruleset (Caseir.intern s) in
       if render legacy_wf <> render fused.Fused.wf then
         record "%s: wf mismatch\n--- legacy:\n%s--- fused:\n%s" name
           (render legacy_wf) (render fused.Fused.wf);
-      let legacy_inf = Informal.check_structure s in
+      let legacy_inf = Oracle.Informal.check_structure s in
       if render legacy_inf <> render fused.Fused.informal then
         record "%s: informal mismatch\n--- legacy:\n%s--- fused:\n%s" name
           (render legacy_inf) (render fused.Fused.informal);
@@ -214,7 +215,7 @@ let parity_failure name s =
         (fun fuel ->
           let b1 = Budget.make ~fuel () in
           let b2 = Budget.make ~fuel () in
-          let legacy_b = Informal.check_structure ~budget:b1 s in
+          let legacy_b = Oracle.Informal.check_structure ~budget:b1 s in
           let fused_b = Fused.check ~ruleset ~budget:b2 (Caseir.intern s) in
           if render legacy_b <> render fused_b.Fused.informal then
             record "%s: budgeted informal mismatch at fuel %d" name fuel;
@@ -224,13 +225,13 @@ let parity_failure name s =
         fuels)
     rulesets;
   let cae = Cae.of_gsn s in
-  let legacy_cae = Cae.check cae in
+  let legacy_cae = Oracle.Cae.check cae in
   let fused_cae = Fused.check_cae (Fused.intern_cae cae) in
   if render legacy_cae <> render fused_cae then
     record "%s: CAE mismatch\n--- legacy:\n%s--- fused:\n%s" name
       (render legacy_cae) (render fused_cae);
   let lint = Fused.lint (Caseir.intern s) in
-  if render (Informal.check_structure s) <> render lint then
+  if render (Oracle.Informal.check_structure s) <> render lint then
     record "%s: Fused.lint mismatch" name;
   !fail
 
@@ -251,7 +252,7 @@ let test_lints_off_leaves_budget_untouched () =
   let r = Fused.check ~budget:b ~lints:false (Caseir.intern s) in
   Alcotest.(check int) "no informal findings" 0 (List.length r.Fused.informal);
   Alcotest.(check int) "no budget ticks" 0 (Budget.steps b);
-  Alcotest.(check string) "wf unchanged" (render (Wellformed.check s))
+  Alcotest.(check string) "wf unchanged" (render (Oracle.Wellformed.check s))
     (render r.Fused.wf)
 
 let test_ir_counters_advance () =
@@ -429,7 +430,7 @@ let check_modular_matches_legacy =
           (Printf.sprintf "modular %s drift\n-- fused --\n%s\n-- oracle --\n%s"
              what a b)
       in
-      let legacy = render (Modular.check c) in
+      let legacy = render (Oracle.Modular.check c) in
       let standard = render (Fused.check_modular ~lints:false c).Fused.wf in
       if standard <> legacy then drift "default" standard legacy
       else
@@ -443,7 +444,7 @@ let check_modular_matches_legacy =
                 let b1 = budget () and b2 = budget () in
                 let r = Fused.check_modular ~ruleset ?budget:b1 ~lints c in
                 let wf =
-                  render (Modular.check_with ~wf:(Wellformed.check ~ruleset) c)
+                  render (Modular.check_with ~wf:(Oracle.Wellformed.check ~ruleset) c)
                 in
                 let informal =
                   if not lints then ""

@@ -114,7 +114,7 @@ let test_to_gsn_well_formed () =
   let s = Kaos.to_gsn uav in
   (* No errors; warnings such as the non-propositional-text heuristic on
      user-supplied requirement descriptions are acceptable. *)
-  Alcotest.(check bool) "well-formed" true (Wellformed.is_well_formed s);
+  Alcotest.(check bool) "well-formed" true (Oracle.Wellformed.is_well_formed s);
   (* Structure reflects the goal model: root goal, strategies for
      refinements, solutions for assignments. *)
   Alcotest.(check (list string))

@@ -1,9 +1,14 @@
+(* The SLD-resolution interpreter the compiled engine (Argus_prolog.Exec)
+   replaced, kept whole as its differential oracle: the indexed
+   [solve]/[provable] and the textbook [solve_naive]. *)
+
 module Term = Argus_logic.Term
 module Symbol = Argus_core.Symbol
 module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
+module Program = Argus_prolog.Program
 
-type derivation = {
+type derivation = Argus_prolog.Exec.derivation = {
   goal : Term.t;
   clause_index : int;
   children : derivation list;
@@ -404,14 +409,3 @@ let prove ?max_depth ?budget program goal =
       in
       Some (finalise deriv)
   | Some ((_, _), _) | None -> None
-
-let rec derivation_size d =
-  1 + List.fold_left (fun acc c -> acc + derivation_size c) 0 d.children
-
-let pp_derivation ppf deriv =
-  let rec go indent d =
-    Format.fprintf ppf "%s%a   [clause %d]@." indent Term.pp d.goal
-      d.clause_index;
-    List.iter (go (indent ^ "  ")) d.children
-  in
-  go "" deriv

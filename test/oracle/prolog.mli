@@ -1,4 +1,7 @@
-(** SLD resolution over Horn-clause programs.
+(** SLD resolution over Horn-clause programs: the interpreter that
+    {!Argus_prolog.Exec} compiles away, kept as its differential
+    oracle.  test/prolog holds the two to the same solutions, order,
+    counters and budget steps.
 
     Depth-first, leftmost-goal selection, clauses tried in program order
     — the strategy of a textbook Prolog interpreter.  A depth bound
@@ -30,17 +33,17 @@
     incompleteness.  Fault probes ["prolog.solve"] and
     ["prolog.provable"] fire at entry (DESIGN.md §10). *)
 
-type derivation = {
-  goal : Argus_logic.Term.t;  (** The resolved goal, fully instantiated. *)
-  clause_index : int;  (** Index of the program clause used (0-based). *)
-  children : derivation list;  (** One per body goal of that clause. *)
+type derivation = Argus_prolog.Exec.derivation = {
+  goal : Argus_logic.Term.t;
+  clause_index : int;
+  children : derivation list;
 }
 
 type compiled
 (** A program compiled to a predicate/arity-keyed dispatch table with
     first-argument discrimination.  Compile once, query many times. *)
 
-val compile : Program.t -> compiled
+val compile : Argus_prolog.Program.t -> compiled
 
 val solve_compiled :
   ?max_depth:int ->
@@ -53,7 +56,7 @@ val solve_compiled :
 val solve :
   ?max_depth:int ->
   ?budget:Argus_rt.Budget.t ->
-  Program.t ->
+  Argus_prolog.Program.t ->
   Argus_logic.Term.t list ->
   (Argus_logic.Term.Subst.t * derivation list) Seq.t
 (** [solve program goals] enumerates solutions of the conjunction of
@@ -66,7 +69,7 @@ val solve :
 
 val solve_naive :
   ?max_depth:int ->
-  Program.t ->
+  Argus_prolog.Program.t ->
   Argus_logic.Term.t list ->
   (Argus_logic.Term.Subst.t * derivation list) Seq.t
 (** The textbook engine: linear clause scan, eager freshening, no
@@ -85,7 +88,7 @@ val solutions :
   ?max_depth:int ->
   ?budget:Argus_rt.Budget.t ->
   ?limit:int ->
-  Program.t ->
+  Argus_prolog.Program.t ->
   Argus_logic.Term.t ->
   (string * Argus_logic.Term.t) list list
 (** First [limit] (default 10) solutions of a single-goal query, as
@@ -94,18 +97,14 @@ val solutions :
 val provable :
   ?max_depth:int ->
   ?budget:Argus_rt.Budget.t ->
-  Program.t ->
+  Argus_prolog.Program.t ->
   Argus_logic.Term.t ->
   bool
 
 val prove :
   ?max_depth:int ->
   ?budget:Argus_rt.Budget.t ->
-  Program.t ->
+  Argus_prolog.Program.t ->
   Argus_logic.Term.t ->
   derivation option
 (** First derivation of the goal, if any — what Figure 1 prints. *)
-
-val derivation_size : derivation -> int
-val pp_derivation : Format.formatter -> derivation -> unit
-(** Indented tree: goal, then the clause used, then sub-derivations. *)

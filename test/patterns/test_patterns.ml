@@ -96,7 +96,7 @@ let test_instantiate_ok () =
       Alcotest.(check string) "scalar substituted"
         "The braking controller is acceptably safe" top.Node.text;
       (* Instantiation output is well-formed GSN. *)
-      let ds = Wellformed.check s in
+      let ds = Oracle.Wellformed.check s in
       Alcotest.(check (list string)) "well-formed" []
         (List.map (fun d -> d.Diagnostic.code) ds)
 
@@ -234,7 +234,7 @@ let replication_scales =
               (Structure.nodes s)
           in
           List.length copies = n
-          && Wellformed.is_well_formed s
+          && Oracle.Wellformed.is_well_formed s
           && Structure.fold_nodes
                (fun node ok -> ok && Pattern.placeholders node.Node.text = [])
                s true)
@@ -302,7 +302,7 @@ let test_catalogue_instantiations () =
           Alcotest.failf "instantiation failed: %s"
             (Format.asprintf "%a" Diagnostic.pp_report ds)
       | Ok s ->
-          if not (Wellformed.is_well_formed s) then
+          if not (Oracle.Wellformed.is_well_formed s) then
             Alcotest.failf "instantiated %s not well-formed"
               (Format.asprintf "%a" Structure.pp_outline s))
     cases

@@ -58,31 +58,31 @@ let test_comments_ignored () =
 let test_desert_bank_derivable () =
   (* The paper's point: the flawed conclusion is formally derivable. *)
   Alcotest.(check bool) "adjacent(desert_bank, river) 'proved'" true
-    (Engine.provable desert_bank (term "adjacent(desert_bank, river)"));
-  match Engine.prove desert_bank (term "adjacent(desert_bank, river)") with
+    (Oracle.Prolog.provable desert_bank (term "adjacent(desert_bank, river)"));
+  match Oracle.Prolog.prove desert_bank (term "adjacent(desert_bank, river)") with
   | None -> Alcotest.fail "expected a derivation"
   | Some d ->
-      Alcotest.(check int) "uses the recursive clause" 2 d.Engine.clause_index;
-      Alcotest.(check int) "two sub-goals" 2 (List.length d.Engine.children);
-      Alcotest.(check int) "derivation size" 3 (Engine.derivation_size d)
+      Alcotest.(check int) "uses the recursive clause" 2 d.Exec.clause_index;
+      Alcotest.(check int) "two sub-goals" 2 (List.length d.Exec.children);
+      Alcotest.(check int) "derivation size" 3 (Exec.derivation_size d)
 
 let test_desert_bank_not_everything () =
   Alcotest.(check bool) "unrelated goal fails" false
-    (Engine.provable desert_bank (term "adjacent(river, desert_bank)"))
+    (Oracle.Prolog.provable desert_bank (term "adjacent(river, desert_bank)"))
 
 (* --- Resolution --- *)
 
 let test_facts () =
-  Alcotest.(check bool) "fact" true (Engine.provable family (term "parent(tom, bob)"));
+  Alcotest.(check bool) "fact" true (Oracle.Prolog.provable family (term "parent(tom, bob)"));
   Alcotest.(check bool) "non-fact" false
-    (Engine.provable family (term "parent(bob, tom)"))
+    (Oracle.Prolog.provable family (term "parent(bob, tom)"))
 
 let test_recursive_rule () =
   Alcotest.(check bool) "transitive" true
-    (Engine.provable family (term "ancestor(tom, pat)"))
+    (Oracle.Prolog.provable family (term "ancestor(tom, pat)"))
 
 let test_solution_enumeration () =
-  let sols = Engine.solutions family (term "ancestor(tom, X)") in
+  let sols = Oracle.Prolog.solutions family (term "ancestor(tom, X)") in
   let values =
     List.map
       (fun bindings ->
@@ -101,14 +101,14 @@ let test_solution_enumeration () =
 
 let test_conjunction () =
   let sols =
-    Engine.solve family [ term "parent(tom, X)"; term "parent(X, Y)" ]
+    Oracle.Prolog.solve family [ term "parent(tom, X)"; term "parent(X, Y)" ]
   in
   let first = Seq.uncons sols in
   match first with
   | Some ((subst, derivs), _) ->
       Alcotest.(check int) "two derivations" 2 (List.length derivs);
       let bindings =
-        Engine.bindings_for [ term "parent(tom, X)"; term "parent(X, Y)" ] subst
+        Oracle.Prolog.bindings_for [ term "parent(tom, X)"; term "parent(X, Y)" ] subst
       in
       Alcotest.(check bool) "X=bob" true
         (List.assoc "X" bindings = Term.const "bob")
@@ -118,13 +118,13 @@ let test_depth_bound_terminates () =
   (* A left-recursive looping program must not diverge. *)
   let looping = Program.of_string_exn "p(X) :- p(X). p(a)." in
   Alcotest.(check bool) "still finds the fact" true
-    (Engine.provable ~max_depth:16 looping (term "p(a)"));
+    (Oracle.Prolog.provable ~max_depth:16 looping (term "p(a)"));
   let no_fact = Program.of_string_exn "p(X) :- p(X)." in
   Alcotest.(check bool) "pure loop is unprovable" false
-    (Engine.provable ~max_depth:16 no_fact (term "p(a)"))
+    (Oracle.Prolog.provable ~max_depth:16 no_fact (term "p(a)"))
 
 let test_variable_query () =
-  let sols = Engine.solutions ~limit:5 family (term "parent(P, C)") in
+  let sols = Oracle.Prolog.solutions ~limit:5 family (term "parent(P, C)") in
   Alcotest.(check int) "three parent facts" 3 (List.length sols)
 
 let test_freshening () =
@@ -134,8 +134,8 @@ let test_freshening () =
     Program.of_string_exn
       "g(X, Y) :- parent(X, Z), parent(Z, Y). parent(a, b). parent(b, c)."
   in
-  Alcotest.(check bool) "grandparent" true (Engine.provable p (term "g(a, c)"));
-  Alcotest.(check bool) "not reflexive" false (Engine.provable p (term "g(a, b)"))
+  Alcotest.(check bool) "grandparent" true (Oracle.Prolog.provable p (term "g(a, c)"));
+  Alcotest.(check bool) "not reflexive" false (Oracle.Prolog.provable p (term "g(a, b)"))
 
 (* --- Properties --- *)
 
@@ -151,7 +151,7 @@ let fact_db_complete =
           facts
       in
       let goal = Term.app "f" [ Term.const (Printf.sprintf "c%d" probe) ] in
-      Bool.equal (Engine.provable program goal) (List.mem probe facts))
+      Bool.equal (Oracle.Prolog.provable program goal) (List.mem probe facts))
 
 (* Chain programs: edge facts c0->c1->...->cn plus transitive closure;
    path(c0, ck) provable for every k in range. *)
@@ -184,11 +184,11 @@ let chain_reachability =
       let program = edges @ rules in
       List.for_all
         (fun k ->
-          Engine.provable program
+          Oracle.Prolog.provable program
             (Term.app "path" [ Term.const "c0"; Term.const (Printf.sprintf "c%d" k) ]))
         (List.init n (fun i -> i + 1))
       && not
-           (Engine.provable program
+           (Oracle.Prolog.provable program
               (Term.app "path" [ Term.const "c1"; Term.const "c0" ])))
 
 (* --- Indexed engine vs. the naive reference --- *)
@@ -219,7 +219,7 @@ let take_bindings goal limit seq =
       match Seq.uncons seq with
       | None -> []
       | Some ((subst, _), rest) ->
-          Engine.bindings_for [ goal ] subst :: go (n - 1) rest
+          Oracle.Prolog.bindings_for [ goal ] subst :: go (n - 1) rest
   in
   go limit seq
 
@@ -273,11 +273,11 @@ let indexed_agrees_with_naive =
        gen_program_and_goal)
     (fun (program, goal) ->
       let idx =
-        take_bindings goal 12 (Engine.solve ~max_depth:24 program [ goal ])
+        take_bindings goal 12 (Oracle.Prolog.solve ~max_depth:24 program [ goal ])
       in
       let naive =
         take_bindings goal 12
-          (Engine.solve_naive ~max_depth:24 program [ goal ])
+          (Oracle.Prolog.solve_naive ~max_depth:24 program [ goal ])
       in
       List.compare_lengths idx naive = 0
       && List.for_all2 bindings_similar idx naive)
@@ -316,9 +316,9 @@ let indexed_agrees_on_recursion =
           ]
       in
       Bool.equal
-        (not (Seq.is_empty (Engine.solve ~max_depth:32 program [ goal ])))
+        (not (Seq.is_empty (Oracle.Prolog.solve ~max_depth:32 program [ goal ])))
         (not
-           (Seq.is_empty (Engine.solve_naive ~max_depth:32 program [ goal ]))))
+           (Seq.is_empty (Oracle.Prolog.solve_naive ~max_depth:32 program [ goal ]))))
 
 (* Counter invariants on the Figure 1 workload (the same query the
    test/cli/trace.t cram test pins exact values for): every index
@@ -338,7 +338,7 @@ let test_index_counter_invariants () =
   in
   let h0, m0, t0, u0 = snap () in
   let goal = term "adjacent(desert_bank, river)" in
-  let n = Seq.length (Engine.solve desert_bank [ goal ]) in
+  let n = Seq.length (Oracle.Prolog.solve desert_bank [ goal ]) in
   Alcotest.(check int) "one solution" 1 n;
   let h1, m1, t1, u1 = snap () in
   let dh = h1 - h0 and dm = m1 - m0 and dt = t1 - t0 and du = u1 - u0 in
@@ -364,14 +364,14 @@ let derivations_replayable =
               [ Term.app "q" [ Term.var "X" ] ];
           ]
       in
-      match Engine.prove program (Term.app "all_q" [ Term.var "W" ]) with
+      match Oracle.Prolog.prove program (Term.app "all_q" [ Term.var "W" ]) with
       | None -> false
       | Some d ->
           let rec sound d =
-            let clause = List.nth program d.Engine.clause_index in
-            Term.unify clause.Program.head d.Engine.goal <> None
-            && List.length d.Engine.children = List.length clause.Program.body
-            && List.for_all sound d.Engine.children
+            let clause = List.nth program d.Exec.clause_index in
+            Term.unify clause.Program.head d.Exec.goal <> None
+            && List.length d.Exec.children = List.length clause.Program.body
+            && List.for_all sound d.Exec.children
           in
           sound d)
 
@@ -392,7 +392,7 @@ let compiled_agrees_with_interpreter =
        gen_program_and_goal)
     (fun (program, goal) ->
       let interp =
-        take_bindings goal 12 (Engine.solve ~max_depth:24 program [ goal ])
+        take_bindings goal 12 (Oracle.Prolog.solve ~max_depth:24 program [ goal ])
       in
       let compiled =
         Exec.solutions_term ~max_depth:24 ~limit:12 program goal
@@ -414,7 +414,7 @@ let compiled_agrees_on_recursion =
           ]
       in
       Bool.equal
-        (Engine.provable ~max_depth:32 program goal)
+        (Oracle.Prolog.provable ~max_depth:32 program goal)
         (Exec.provable_term ~max_depth:32 program goal))
 
 (* Both engines tick the budget once per clause candidate tried and
@@ -432,7 +432,7 @@ let compiled_budget_parity =
       let b1 = Budget.make ~fuel () in
       let b2 = Budget.make ~fuel () in
       let interp =
-        Engine.solutions ~max_depth:24 ~budget:b1 ~limit:8 program goal
+        Oracle.Prolog.solutions ~max_depth:24 ~budget:b1 ~limit:8 program goal
       in
       let compiled =
         Exec.solutions_term ~max_depth:24 ~budget:b2 ~limit:8 program goal

@@ -33,7 +33,7 @@ let generated = Proofgen.generate checked
 (* --- Generation --- *)
 
 let test_generated_is_well_formed () =
-  let ds = Wellformed.check generated in
+  let ds = Oracle.Wellformed.check generated in
   Alcotest.(check (list string)) "clean" []
     (List.map (fun d -> d.Diagnostic.code) ds)
 
@@ -87,7 +87,7 @@ let test_abstract_shrinks () =
   Alcotest.(check bool) "smaller" true
     (Proofgen.node_count abstracted < Proofgen.node_count generated);
   Alcotest.(check (list string)) "still well-formed" []
-    (List.map (fun d -> d.Diagnostic.code) (Wellformed.check abstracted));
+    (List.map (fun d -> d.Diagnostic.code) (Oracle.Wellformed.check abstracted));
   (* Root preserved. *)
   Alcotest.(check bool) "same root" true
     (Structure.roots abstracted = Structure.roots generated)
@@ -142,8 +142,8 @@ let generated_always_well_formed =
       | Ok c ->
           let s = Proofgen.generate c in
           let a = Proofgen.abstract s in
-          Wellformed.is_well_formed s
-          && Wellformed.is_well_formed a
+          Oracle.Wellformed.is_well_formed s
+          && Oracle.Wellformed.is_well_formed a
           && Proofgen.node_count a <= Proofgen.node_count s
           && Structure.roots a = Structure.roots s)
 

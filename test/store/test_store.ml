@@ -359,6 +359,9 @@ let test_digest_roundtrip () =
   Alcotest.(check string) "undo returns to the original digest" d0 d2
 
 let test_errors () =
+  Alcotest.check_raises "memo capacity below 1"
+    (Invalid_argument "Store.create: memo_capacity < 1") (fun () ->
+      ignore (Store.create ~memo_capacity:0 ()));
   let store = Store.create () in
   (match Store.patch store ~digest:"nope" [] with
   | Error (Store.Unknown_digest _) -> ()

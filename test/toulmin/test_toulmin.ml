@@ -292,7 +292,7 @@ let test_satisfaction_invalid_outer () =
 let test_to_gsn_haley () =
   let s = To_gsn.convert haley_inner in
   Alcotest.(check bool) "well-formed" true
-    (Argus_gsn.Wellformed.is_well_formed s);
+    (Oracle.Wellformed.is_well_formed s);
   (* One root: the outer claim. *)
   (match Argus_gsn.Structure.roots s with
   | [ root ] ->
@@ -311,7 +311,7 @@ let test_to_gsn_haley () =
 let to_gsn_always_well_formed =
   QCheck.Test.make ~name:"conversion yields well-formed GSN" ~count:100
     (QCheck.make ~print:Toulmin.to_string gen_argument) (fun arg ->
-      Argus_gsn.Wellformed.is_well_formed (To_gsn.convert arg))
+      Oracle.Wellformed.is_well_formed (To_gsn.convert arg))
 
 let () =
   Alcotest.run "argus-toulmin"
