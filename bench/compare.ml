@@ -3,6 +3,7 @@
    Usage: compare.exe BASELINE.json CURRENT.json [--threshold PCT]
                       [--require-improved KERNEL]...
                       [--require-speedup SLOW:FAST:RATIO]...
+                      [--require-ratio-below BIG:SMALL:RATIO]...
           compare.exe --summary RESULTS.json
 
    [--require-improved KERNEL] (repeatable) inverts the gate for that
@@ -19,6 +20,13 @@
    incremental store edit stays two orders of magnitude under the full
    re-check it replaces — so it holds even when the baseline predates
    the kernels or the host changes speed.
+
+   [--require-ratio-below BIG:SMALL:RATIO] (repeatable) is the upper
+   bound of the same within-run ratio: the run fails unless both
+   kernels are present in CURRENT.json and BIG is less than RATIO
+   times slower than SMALL.  Over one workload at two sizes it is a
+   scaling guard — a path that turns quadratic in n blows through a
+   bound set just above the linear ratio, on any host.
 
    Reads the "timings_ns_per_run" table of each argus-bench/1 results
    file, prints a per-kernel delta table, and exits non-zero when any
@@ -143,30 +151,38 @@ let print_armed_overhead baseline current =
         ((cur -. base) /. base *. 100.)
   | _ -> ()
 
+(* A within-run ratio gate: [num] must run at least (or, for an upper
+   bound, less than) [bound] times slower than [den]. *)
+type ratio_gate = { num : string; den : string; bound : float; at_least : bool }
+
+let ratio_gate ~flag ~at_least spec =
+  match String.split_on_char ':' spec with
+  | [ num; den; ratio ] -> (
+      match float_of_string_opt ratio with
+      | Some bound when bound > 0. -> { num; den; bound; at_least }
+      | _ -> fail "%s: bad ratio in %S" flag spec)
+  | _ -> fail "%s expects A:B:RATIO, got %S" flag spec
+
 let () =
-  let rec parse paths threshold summary required speedups = function
+  let rec parse paths threshold summary required ratios = function
     | [] -> (List.rev paths, threshold, summary, List.rev required,
-             List.rev speedups)
+             List.rev ratios)
     | "--threshold" :: v :: rest -> (
         match float_of_string_opt v with
-        | Some t -> parse paths t summary required speedups rest
+        | Some t -> parse paths t summary required ratios rest
         | None -> fail "--threshold expects a number, got %S" v)
-    | "--summary" :: rest -> parse paths threshold true required speedups rest
+    | "--summary" :: rest -> parse paths threshold true required ratios rest
     | "--require-improved" :: name :: rest ->
-        parse paths threshold summary (name :: required) speedups rest
-    | "--require-speedup" :: spec :: rest -> (
-        match String.split_on_char ':' spec with
-        | [ slow; fast; ratio ] -> (
-            match float_of_string_opt ratio with
-            | Some r when r > 0. ->
-                parse paths threshold summary required
-                  ((slow, fast, r) :: speedups)
-                  rest
-            | _ -> fail "--require-speedup: bad ratio in %S" spec)
-        | _ -> fail "--require-speedup expects SLOW:FAST:RATIO, got %S" spec)
-    | a :: rest -> parse (a :: paths) threshold summary required speedups rest
+        parse paths threshold summary (name :: required) ratios rest
+    | ("--require-speedup" | "--require-ratio-below") as flag :: spec :: rest
+      ->
+        let at_least = flag = "--require-speedup" in
+        parse paths threshold summary required
+          (ratio_gate ~flag ~at_least spec :: ratios)
+          rest
+    | a :: rest -> parse (a :: paths) threshold summary required ratios rest
   in
-  let paths, threshold, summary, required, speedups =
+  let paths, threshold, summary, required, ratios =
     parse [] 25.0 false [] [] (List.tl (Array.to_list Sys.argv))
   in
   if summary then begin
@@ -227,31 +243,39 @@ let () =
             | _ -> Some (name ^ " missing from baseline or current run"))
           required
       in
-      let unheld_speedups =
+      let unheld_ratios =
         List.filter_map
-          (fun (slow, fast, ratio) ->
-            match
-              (List.assoc_opt slow current, List.assoc_opt fast current)
-            with
+          (fun { num; den; bound; at_least } ->
+            match (List.assoc_opt num current, List.assoc_opt den current) with
             | Some s, Some f when f > 0. ->
                 let got = s /. f in
-                if got >= ratio then begin
+                if at_least then
+                  if got >= bound then begin
+                    Format.printf
+                      "required speedup held: %s runs %.0fx under %s (need \
+                       %.0fx)@."
+                      den got num bound;
+                    None
+                  end
+                  else
+                    Some
+                      (Format.asprintf
+                         "%s is only %.1fx faster than %s (need %.0fx)" den
+                         got num bound)
+                else if got < bound then begin
                   Format.printf
-                    "required speedup held: %s runs %.0fx under %s (need \
-                     %.0fx)@."
-                    fast got slow ratio;
+                    "ratio bound held: %s runs %.1fx %s (need under %gx)@."
+                    num got den bound;
                   None
                 end
                 else
                   Some
-                    (Format.asprintf
-                       "%s is only %.1fx faster than %s (need %.0fx)" fast got
-                       slow ratio)
+                    (Format.asprintf "%s runs %.1fx %s (need under %gx)" num
+                       got den bound)
             | _ ->
                 Some
-                  (Format.asprintf "%s or %s missing from current run" slow
-                     fast))
-          speedups
+                  (Format.asprintf "%s or %s missing from current run" num den))
+          ratios
       in
       let failed = ref false in
       (match List.rev !regressions with
@@ -271,10 +295,10 @@ let () =
             (List.length msgs);
           List.iter (fun m -> Format.printf "  %s@." m) msgs;
           failed := true);
-      (match unheld_speedups with
+      (match unheld_ratios with
       | [] -> ()
       | msgs ->
-          Format.printf "@.%d required speedup(s) not held:@."
+          Format.printf "@.%d required ratio(s) not held:@."
             (List.length msgs);
           List.iter (fun m -> Format.printf "  %s@." m) msgs;
           failed := true);
@@ -282,4 +306,5 @@ let () =
   | _ ->
       fail
         "usage: compare.exe BASELINE.json CURRENT.json [--threshold PCT] \
-         [--require-improved KERNEL]... [--require-speedup SLOW:FAST:RATIO]..."
+         [--require-improved KERNEL]... [--require-speedup SLOW:FAST:RATIO]... \
+         [--require-ratio-below BIG:SMALL:RATIO]..."

@@ -34,6 +34,7 @@ module Modular = Argus_gsn.Modular
 module Store = Argus_store.Store
 module Wal = Argus_store.Wal
 module Recover = Argus_store.Recover
+module Confidence = Argus_confidence.Confidence
 open Argus_experiments
 
 let section title =
@@ -729,6 +730,58 @@ let bench_subjects =
       ~free:(fun _ -> ())
       (Staged.stage (fun case ->
            ignore (Fused.check ~lints:true (Caseir.intern case))));
+    (* The same re-check at a tenth of the size: compare.exe
+       --require-ratio-below holds 100k/10k under 15x, so a cold path
+       that turns quadratic in n fails the smoke run on any host. *)
+    Test.make_with_resource ~name:"store-full-recheck-10k" Test.uniq
+      ~allocate:store_case_10k
+      ~free:(fun _ -> ())
+      (Staged.stage (fun case ->
+           ignore (Fused.check ~lints:true (Caseir.intern case))));
+    (* The two kernels that dominated a cold put, each against the
+       oracle it replaced (test/oracle), on the same ~11k-node case:
+       the per-node lints over every node (the sorted-word merge vs the
+       list-based pair scan, 45 goal-sibling pairs under each
+       strategy), and root confidence as a store's first verdict pays
+       it (the array pass over the interned case vs the Id.Map
+       recursion over the structure).  compare.exe --require-speedup
+       gates both ratios at 5x. *)
+    Test.make_with_resource ~name:"lint-pairs-10k" Test.uniq
+      ~allocate:(fun () -> Caseir.intern (store_case_10k ()))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun ir ->
+           for i = 0 to ir.Caseir.n_nodes - 1 do
+             ignore (Fused.node_lint_findings ir i)
+           done));
+    Test.make_with_resource ~name:"lint-pairs-oracle-10k" Test.uniq
+      ~allocate:(fun () -> Caseir.intern (store_case_10k ()))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun ir ->
+           for i = 0 to ir.Caseir.n_nodes - 1 do
+             Oracle.Informal.node_lints ir i ignore
+           done));
+    Test.make_with_resource ~name:"confidence-10k" Test.uniq
+      ~allocate:(fun () ->
+        let case = store_case_10k () in
+        let ir = Caseir.intern case in
+        ( {
+            Confidence.nodes = ir.Caseir.nodes;
+            n_entities = ir.Caseir.n_entities;
+            sup_off = ir.Caseir.sup_out_off;
+            sup = ir.Caseir.sup_out;
+            evidence = (fun id -> Structure.find_evidence id case);
+          },
+          List.hd ir.Caseir.roots ))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun (g, root) ->
+           ignore (Confidence.score_root ~trust:Store.default_trust g root)));
+    Test.make_with_resource ~name:"confidence-oracle-10k" Test.uniq
+      ~allocate:store_case_10k
+      ~free:(fun _ -> ())
+      (Staged.stage (fun case ->
+           ignore
+             (Oracle.Confidence.root_confidence ~trust:Store.default_trust
+                case)));
     (let flip = ref 0 in
      Test.make_with_resource ~name:"store-edit-1-of-100k" Test.uniq
        ~allocate:(fun () ->
@@ -898,6 +951,28 @@ let run_benchmarks ~quota () =
           None)
     rows
 
+(* The host a run was measured on, with the fields servebench's
+   reports carry, so results from different machines and commits can
+   be told apart. *)
+let host () =
+  let module Json = Argus_core.Json in
+  let commit =
+    match Unix.open_process_args_in "git" [| "git"; "rev-parse"; "HEAD" |] with
+    | ic -> (
+        let line = In_channel.input_line ic in
+        match (Unix.close_process_in ic, line) with
+        | Unix.WEXITED 0, Some c when c <> "" -> c
+        | _ -> "unknown")
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  Json.Obj
+    [
+      ("nproc", Json.Num (float_of_int (Domain.recommended_domain_count ())));
+      ("ocaml", Json.Str Sys.ocaml_version);
+      ("dune_profile", Json.Str Build_info.profile);
+      ("git_commit", Json.Str commit);
+    ]
+
 (* Persist the run for trajectory tracking: per-artefact timings plus
    the engine counters the workloads accumulated (the counters run even
    with tracing disabled, so this costs nothing extra). *)
@@ -907,6 +982,7 @@ let write_results ?path timings =
     Json.Obj
       [
         ("schema", Json.Str "argus-bench/1");
+        ("host", host ());
         ( "timings_ns_per_run",
           Json.Obj (List.map (fun (n, ns) -> (n, Json.Num ns)) timings) );
         ( "advisory",

@@ -19,6 +19,27 @@
     probing} ({!probe_premise}: retract a premise, re-run the checker,
     see whether the conclusion still follows). *)
 
+type graph = {
+  nodes : Argus_gsn.Node.t array;
+      (** Entities [0 .. Array.length nodes - 1] are nodes; higher
+          indices are dangling link endpoints. *)
+  n_entities : int;
+  sup_off : int array;  (** CSR offsets, length [n_entities + 1]. *)
+  sup : int array;  (** SupportedBy targets, link order per entity. *)
+  evidence : Argus_core.Id.t -> Argus_core.Evidence.t option;
+      (** Evidence lookup for solutions. *)
+}
+(** A case as flat arrays — the shape {!Argus_ir.Caseir} already
+    holds, so the store scores its interned cases without rebuilding
+    anything. *)
+
+val score_root :
+  trust:(Argus_core.Evidence.t -> float) -> graph -> int -> float
+(** [score_root ~trust g root] is the confidence {!root_confidence}
+    gives entity [root] when [root] is the structure's first root: the
+    one kernel {!assess} and {!root_confidence} also run, stopped once
+    [root] is scored. *)
+
 val assess :
   trust:(Argus_core.Evidence.t -> float) ->
   Argus_gsn.Structure.t ->

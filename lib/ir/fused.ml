@@ -37,11 +37,68 @@ let c_nodes_visited = Counter.make "gsn.wf.nodes_visited"
 let c_links_checked = Counter.make "gsn.wf.links_checked"
 let c_findings = Counter.make "gsn.wf.findings"
 
+(* One goal-like child's content words as a table of its distinct
+   words, sorted, with how often each occurs, plus the total word count
+   (duplicates included). *)
+type words = { distinct : string array; counts : int array; total : int }
+
+let words_of content =
+  let a = Array.of_list content in
+  Array.sort String.compare a;
+  let total = Array.length a in
+  let distinct = Array.make total "" and counts = Array.make total 0 in
+  let d = ref (-1) in
+  for k = 0 to total - 1 do
+    if k > 0 && String.equal a.(k) a.(k - 1) then
+      counts.(!d) <- counts.(!d) + 1
+    else begin
+      incr d;
+      distinct.(!d) <- a.(k);
+      counts.(!d) <- 1
+    end
+  done;
+  let n = !d + 1 in
+  { distinct = Array.sub distinct 0 n; counts = Array.sub counts 0 n; total }
+
+(* The equivocation rule for one sibling pair, over word lists [ws1]
+   and [ws2] with duplicates: flag the pair when the words of [ws1]
+   found in [ws2] are exactly one occurrence of one word [w], and each
+   side has at least three words (counted with duplicates) outside the
+   other.  Restated over the tables: exactly one shared distinct word,
+   occurring once in [ws1], with [|ws1| - 1 >= 3] and
+   [|ws2| - count2(w) >= 3].  The merge stops at the second shared
+   distinct word. *)
+let equivocal t1 t2 =
+  if t1.total < 4 || t2.total < 4 then None
+  else begin
+    let n1 = Array.length t1.distinct and n2 = Array.length t2.distinct in
+    let a = ref 0 and b = ref 0 in
+    let hit1 = ref (-1) and hit2 = ref (-1) and twice = ref false in
+    while (not !twice) && !a < n1 && !b < n2 do
+      let c = String.compare t1.distinct.(!a) t2.distinct.(!b) in
+      if c < 0 then incr a
+      else if c > 0 then incr b
+      else if !hit1 >= 0 then twice := true
+      else begin
+        hit1 := !a;
+        hit2 := !b;
+        incr a;
+        incr b
+      end
+    done;
+    if !twice || !hit1 < 0 then None
+    else if t1.counts.(!hit1) = 1 && t2.total - t2.counts.(!hit2) >= 3 then
+      Some t1.distinct.(!hit1)
+    else None
+  end
+
 (* The per-node lints (argument-from-ignorance, equivocation among
    sibling goals) for node [i] — legacy runs these as two whole-node
    scans; here they ride the well-formedness node loop.  The stable
    {!Diagnostic.sort} groups findings back by code, so the interleaved
-   emission sorts identically to the legacy scan-by-scan order. *)
+   emission sorts identically to the legacy scan-by-scan order.  Each
+   goal-like child's word table is built once per parent; pairs are
+   visited in the legacy order, [(x, y)] for every [y] after [x]. *)
 let node_lints (ir : Caseir.t) i inf_add =
   let ids = ir.Caseir.ids in
   let n_nodes = ir.Caseir.n_nodes in
@@ -52,37 +109,37 @@ let node_lints (ir : Caseir.t) i inf_add =
          ~subjects:[ ids.(i) ]
          "claim argued from absence of evidence; confirm the search \
           procedure was adequate");
-  let goal_children = ref [] in
-  for k = sup_out_off.(i + 1) - 1 downto sup_out_off.(i) do
+  let lo = sup_out_off.(i) and hi = sup_out_off.(i + 1) in
+  let n_goals = ref 0 in
+  for k = lo to hi - 1 do
     let j = sup_out.(k) in
-    if j < n_nodes && ir.Caseir.goal_like.(j) then
-      goal_children := j :: !goal_children
+    if j < n_nodes && ir.Caseir.goal_like.(j) then incr n_goals
   done;
-  match !goal_children with
-  | _ :: _ :: _ as siblings ->
-      let word_sets =
-        List.map (fun j -> (j, ir.Caseir.content.(j))) siblings
-      in
-      let rec pairs = function
-        | [] -> []
-        | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-      in
-      List.iter
-        (fun ((j1, ws1), (j2, ws2)) ->
-          let shared = List.filter (fun w -> List.mem w ws2) ws1 in
-          let only1 = List.filter (fun w -> not (List.mem w ws2)) ws1 in
-          let only2 = List.filter (fun w -> not (List.mem w ws1)) ws2 in
-          match shared with
-          | [ word ] when List.length only1 >= 3 && List.length only2 >= 3 ->
-              inf_add
-                (Diagnostic.warningf ~code:"informal/equivocation-candidate"
-                   ~subjects:[ ids.(j1); ids.(j2) ]
-                   "the word %S links otherwise-unrelated sibling goals; \
-                    check it means the same thing in both"
-                   word)
-          | _ -> ())
-        (pairs word_sets)
-  | _ -> ()
+  if !n_goals >= 2 then begin
+    let sib = Array.make !n_goals 0 in
+    let g = ref 0 in
+    for k = lo to hi - 1 do
+      let j = sup_out.(k) in
+      if j < n_nodes && ir.Caseir.goal_like.(j) then begin
+        sib.(!g) <- j;
+        incr g
+      end
+    done;
+    let tables = Array.map (fun j -> words_of ir.Caseir.content.(j)) sib in
+    for x = 0 to !n_goals - 2 do
+      for y = x + 1 to !n_goals - 1 do
+        match equivocal tables.(x) tables.(y) with
+        | None -> ()
+        | Some word ->
+            inf_add
+              (Diagnostic.warningf ~code:"informal/equivocation-candidate"
+                 ~subjects:[ ids.(sib.(x)); ids.(sib.(y)) ]
+                 "the word %S links otherwise-unrelated sibling goals; \
+                  check it means the same thing in both"
+                 word)
+      done
+    done
+  end
 
 (* The circular-support walk — the one lint that is a path traversal
    rather than a node scan, so it keeps its own (budgeted) walk.  Tick

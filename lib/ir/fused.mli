@@ -85,7 +85,9 @@ val node_findings : Caseir.t -> int -> Argus_core.Diagnostic.t list
 
 val node_lint_findings : Caseir.t -> int -> Argus_core.Diagnostic.t list
 (** Node [i]'s per-node lints (argument-from-ignorance, equivocation
-    among its goal-like SupportedBy children). *)
+    among its goal-like SupportedBy children, pairs in sibling order).
+    Reads the node's payload and its goal-like children's content
+    words. *)
 
 val walk_findings :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list

@@ -647,6 +647,23 @@ let patch store ~digest edits =
               update_gauge store;
               Ok st.digest))
 
+(* Root confidence straight off the interned arrays: the IR already
+   holds the node table and the SupportedBy CSR the kernel walks. *)
+let root_confidence st =
+  let ir = st.ir in
+  match ir.Caseir.roots with
+  | [] -> 0.0
+  | root :: _ ->
+      Confidence.score_root ~trust:default_trust
+        {
+          Confidence.nodes = ir.Caseir.nodes;
+          n_entities = ir.Caseir.n_entities;
+          sup_off = ir.Caseir.sup_out_off;
+          sup = ir.Caseir.sup_out;
+          evidence = (fun id -> Structure.find_evidence id st.structure);
+        }
+        root
+
 let verdict store ~digest =
   locked store (fun () ->
       match Hashtbl.find_opt store.cases digest with
@@ -674,10 +691,7 @@ let verdict store ~digest =
                 match st.conf with
                 | Some c -> c
                 | None ->
-                    let c =
-                      Confidence.root_confidence ~trust:default_trust
-                        st.structure
-                    in
+                    let c = root_confidence st in
                     st.conf <- Some c;
                     c
               in

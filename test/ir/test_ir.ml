@@ -287,6 +287,11 @@ let texts =
     "Formal proof of Quat4::quat";
     "Argue over hazards";
     "Test report";
+    (* Repeated content words: the equivocation rule counts duplicates,
+       so these sit on either side of its three-other-words bound. *)
+    "The bank bank vault alarm works";
+    "The bank ledger ledger is audited daily";
+    "Bank vault vault alarm";
   |]
 
 let gen_structure =
@@ -351,6 +356,97 @@ let fused_matches_legacy_on_random_structures =
       match parity_failure "random" s with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
+
+(* --- the equivocation pair scan against its list-based oracle --- *)
+
+(* Sibling texts built to sit on the pair rule's edges: a small shared
+   pool drawn with replacement (repeated and multiply-shared words),
+   words unique to one child (one repeated at will), and exact counts
+   of three unique words beside one shared word. *)
+let pool = [| "bank"; "river"; "ledger"; "vault"; "teller"; "cash" |]
+
+let gen_sibling_text child =
+  let open QCheck.Gen in
+  let unique k = Printf.sprintf "q%dz%d" child k in
+  let uniques n = List.init n unique in
+  let shared = oneofa pool in
+  let body =
+    int_bound 3 >>= function
+    | 0 -> list_size (int_range 0 7) shared
+    | 1 ->
+        map2
+          (fun w (n, dup) ->
+            let us = uniques n in
+            (w :: us) @ if dup && n > 0 then [ unique 0 ] else [])
+          shared
+          (pair (int_range 2 5) bool)
+    | 2 ->
+        map2
+          (fun w twice -> (if twice then [ w; w ] else [ w ]) @ uniques 3)
+          shared bool
+    | _ ->
+        map2
+          (fun w extra -> (w :: uniques 2) @ [ unique 1 ] @ extra)
+          shared
+          (list_size (int_bound 2) shared)
+  in
+  body >>= shuffle_l >|= String.concat " "
+
+(* One parent over 2-60 children, mostly goal-like; a few strategies,
+   solutions and a dangling target ride along to exercise the
+   goal-like filter. *)
+let gen_sibling_case =
+  let open QCheck.Gen in
+  int_range 2 60 >>= fun n ->
+  let child i =
+    map2
+      (fun kind text ->
+        let id = Id.of_string (Printf.sprintf "C%d" i) in
+        let node_type =
+          match kind with
+          | 0 -> Node.Strategy
+          | 1 -> Node.Solution
+          | 2 -> Node.Away_goal (Id.of_string "M1")
+          | _ -> Node.Goal
+        in
+        Node.make ~id ~node_type text)
+      (int_bound 9) (gen_sibling_text i)
+  in
+  map2
+    (fun children dangle ->
+      let links =
+        List.map
+          (fun c ->
+            (Structure.Supported_by, "P", Id.to_string c.Node.id))
+          children
+        @ if dangle then [ (Structure.Supported_by, "P", "Cmissing") ] else []
+      in
+      Structure.of_nodes ~links (Node.goal "P" "Parent claim holds" :: children))
+    (flatten_l (List.init n child))
+    bool
+
+let pair_scan_matches_oracle =
+  QCheck.Test.make
+    ~name:"node lints = list-based pair scan (sibling fan-outs)" ~count:300
+    (QCheck.make ~print:print_structure gen_sibling_case)
+    (fun s ->
+      let ir = Caseir.intern s in
+      let collect f =
+        let out = ref [] in
+        f (fun d -> out := d :: !out);
+        render (List.rev !out)
+      in
+      let bad = ref None in
+      for i = ir.Caseir.n_nodes - 1 downto 0 do
+        let want = collect (Oracle.Informal.node_lints ir i) in
+        let got = render (Fused.node_lint_findings ir i) in
+        if want <> got then
+          bad :=
+            Some
+              (Printf.sprintf "node %s\n--- oracle:\n%s--- fused:\n%s"
+                 (Id.to_string ir.Caseir.ids.(i)) want got)
+      done;
+      match !bad with None -> true | Some m -> QCheck.Test.fail_report m)
 
 (* --- incremental re-interning: set_node = full re-intern --- *)
 
@@ -741,6 +837,7 @@ let () =
           QCheck_alcotest.to_alcotest fused_matches_legacy_on_random_structures;
           QCheck_alcotest.to_alcotest set_node_parity;
           QCheck_alcotest.to_alcotest check_modular_matches_legacy;
+          QCheck_alcotest.to_alcotest pair_scan_matches_oracle;
         ] );
       ( "text",
         [

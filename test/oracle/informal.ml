@@ -109,3 +109,50 @@ let check_structure ?budget structure =
           (pairs word_sets))
     (Structure.nodes structure);
   Diagnostic.sort (List.rev !out)
+
+(* The per-node lints as [Argus_ir.Fused] ran them before the pair
+   scan became a sorted-word merge: every sibling pair built with [@],
+   then three [List.filter]s of polymorphic [List.mem] per pair.  Kept
+   verbatim as the per-node oracle for [Fused.node_lint_findings]. *)
+let node_lints (ir : Argus_ir.Caseir.t) i inf_add =
+  let module Caseir = Argus_ir.Caseir in
+  let ids = ir.Caseir.ids in
+  let n_nodes = ir.Caseir.n_nodes in
+  let sup_out_off = ir.Caseir.sup_out_off and sup_out = ir.Caseir.sup_out in
+  if ir.Caseir.ignorance.(i) then
+    inf_add
+      (Diagnostic.warningf ~code:"informal/argument-from-ignorance"
+         ~subjects:[ ids.(i) ]
+         "claim argued from absence of evidence; confirm the search \
+          procedure was adequate");
+  let goal_children = ref [] in
+  for k = sup_out_off.(i + 1) - 1 downto sup_out_off.(i) do
+    let j = sup_out.(k) in
+    if j < n_nodes && ir.Caseir.goal_like.(j) then
+      goal_children := j :: !goal_children
+  done;
+  match !goal_children with
+  | _ :: _ :: _ as siblings ->
+      let word_sets =
+        List.map (fun j -> (j, ir.Caseir.content.(j))) siblings
+      in
+      let rec pairs = function
+        | [] -> []
+        | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
+      in
+      List.iter
+        (fun ((j1, ws1), (j2, ws2)) ->
+          let shared = List.filter (fun w -> List.mem w ws2) ws1 in
+          let only1 = List.filter (fun w -> not (List.mem w ws2)) ws1 in
+          let only2 = List.filter (fun w -> not (List.mem w ws1)) ws2 in
+          match shared with
+          | [ word ] when List.length only1 >= 3 && List.length only2 >= 3 ->
+              inf_add
+                (Diagnostic.warningf ~code:"informal/equivocation-candidate"
+                   ~subjects:[ ids.(j1); ids.(j2) ]
+                   "the word %S links otherwise-unrelated sibling goals; \
+                    check it means the same thing in both"
+                   word)
+          | _ -> ())
+        (pairs word_sets)
+  | _ -> ()

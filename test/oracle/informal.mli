@@ -20,3 +20,11 @@ val check_structure :
     when [?budget] is given (the caller then owns reporting its
     exhaustion), otherwise an internal 10k-step one whose truncation is
     reported here as an ["rt/budget-exhausted"] warning. *)
+
+val node_lints :
+  Argus_ir.Caseir.t -> int -> (Argus_core.Diagnostic.t -> unit) -> unit
+(** [node_lints ir i add] feeds [add] node [i]'s per-node lints
+    (argument-from-ignorance, then equivocation among its goal-like
+    children, pairs in sibling order) — the list-based pair scan that
+    {!Argus_ir.Fused.node_lint_findings} replaced with a sorted-word
+    merge. *)

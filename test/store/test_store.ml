@@ -2,7 +2,8 @@
    every [patch], [Store.verdict] must render byte-identically to a
    from-scratch [Fused.check ~lints:true] of the same structure — the
    memo, the dirty-cone re-checking and the digest bookkeeping must
-   never show through in the report.  Digests must be insensitive to
+   never show through in the report, and its root confidence must
+   equal the Id.Map oracle's bit for bit.  Digests must be insensitive to
    insertion order, bounded memo eviction must never change results,
    and one store must serve concurrent domains. *)
 
@@ -15,6 +16,7 @@ module Wellformed = Argus_gsn.Wellformed
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
 module Pool = Argus_par.Pool
+module Confidence = Argus_confidence.Confidence
 module Store = Argus_store.Store
 module Wal = Argus_store.Wal
 module Snapshot = Argus_store.Snapshot
@@ -47,7 +49,16 @@ let check_verdict ?ruleset store digest shadow =
              got_inf want_inf)
       else if Store.digest_of shadow <> digest then
         Error "store digest disagrees with digest_of the shadow structure"
-      else Ok ()
+      else
+        let want =
+          Oracle.Confidence.root_confidence ~trust:Store.default_trust shadow
+        in
+        if Int64.bits_of_float v.Store.confidence <> Int64.bits_of_float want
+        then
+          Error
+            (Printf.sprintf "confidence drift: store %h, oracle %h"
+               v.Store.confidence want)
+        else Ok ()
 
 (* --- generators --- *)
 
@@ -230,6 +241,49 @@ let incremental_matches_full =
       match drive store scenario with
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_report msg)
+
+(* The confidence kernel against the Id.Map oracle, bit for bit, on
+   larger random graphs than the edit scenarios use: cycles, dangling
+   children, several roots and contextual roots all turn up.  Two
+   trusts, so the floats are not all one power of 0.9. *)
+let trusts =
+  [
+    ("uniform", Store.default_trust);
+    ( "per-item",
+      fun ev -> if Id.to_string ev.Evidence.id = "E0" then 0.7 else 0.35 );
+  ]
+
+let gen_graph =
+  let open QCheck.Gen in
+  int_range 1 20 >>= fun n ->
+  pair (flatten_l (List.init n gen_node)) (list_size (int_range 0 40) (gen_link n))
+  |> map (fun (nodes, links) ->
+         Structure.of_nodes ~links ~evidence:evidence_table nodes)
+
+let confidence_matches_oracle =
+  QCheck.Test.make ~name:"confidence = Id.Map oracle, bit for bit" ~count:500
+    (QCheck.make
+       ~print:(fun s -> Format.asprintf "%a" Structure.pp_outline s)
+       gen_graph)
+    (fun s ->
+      let bits m =
+        List.map
+          (fun (id, c) -> (Id.to_string id, Int64.bits_of_float c))
+          (Id.Map.bindings m)
+      in
+      List.for_all
+        (fun (name, trust) ->
+          let got = Confidence.root_confidence ~trust s
+          and want = Oracle.Confidence.root_confidence ~trust s in
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            QCheck.Test.fail_reportf "%s root: kernel %h, oracle %h" name got
+              want
+          else if
+            bits (Confidence.assess ~trust s)
+            <> bits (Oracle.Confidence.assess ~trust s)
+          then QCheck.Test.fail_reportf "%s: assess maps differ" name
+          else true)
+        trusts)
 
 (* A tiny memo forces constant eviction; results must not move. *)
 let eviction_never_changes_results =
@@ -922,6 +976,7 @@ let () =
           Alcotest.test_case "unknown digests and bad edits" `Quick
             test_errors;
           Alcotest.test_case "verdict memoization" `Quick test_memoization;
+          QCheck_alcotest.to_alcotest confidence_matches_oracle;
         ] );
       ( "concurrency",
         [
