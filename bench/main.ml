@@ -382,11 +382,12 @@ let bench_modular =
 
 (* A bushy-and-shallow case for the incremental-store kernels: one
    root goal fanned over [strategies] strategies of [leaves] undeveloped
-   leaf goals each.  Shallow keeps the Merkle ancestor cone of any leaf
-   at three nodes; bushy keeps the node count high.  Sibling leaf texts
-   share most of their content words, so the equivocation pair scan
-   runs but stays quiet — the store's dirty-cone cost, not a diagnostic
-   flood, is what these kernels time. *)
+   leaf goals each.  Bushy keeps the node count high; a leaf edit's
+   re-digest swaps one term of the case's digest sum, so neither depth
+   nor fan-out enters it.  Sibling leaf texts share most of their
+   content words, so the equivocation pair scan runs but stays quiet —
+   the store's dirty-cone cost, not a diagnostic flood, is what these
+   kernels time. *)
 let bench_store_case ~strategies ~leaves =
   let module Node = Argus_gsn.Node in
   let id = Argus_core.Id.of_string in
@@ -724,7 +725,7 @@ let bench_subjects =
        [store-edit-1-of-100k] is what the store makes it cost: patch
        one leaf's text by digest, then fetch a full verdict assembled
        from memoized per-node findings.  compare.exe --require-speedup
-       gates the ratio at 50x. *)
+       gates the ratio at 150x. *)
     Test.make_with_resource ~name:"store-full-recheck-100k" Test.uniq
       ~allocate:store_case_100k
       ~free:(fun _ -> ())
@@ -851,7 +852,7 @@ let bench_subjects =
        disk property; the sync policy that pays it is the operator's
        call).  [store-recover-100k] is restart cost: Recover.load of a
        data dir whose WAL holds one ~110k-node put — Marshal decode,
-       re-intern, and Merkle digest verification, the same work
+       re-intern, and flat-sum digest verification, the same work
        `argus serve --store --data-dir` does before its first accept.
        Both touch the filesystem, so they are advisory. *)
     (let seq = ref 0 in

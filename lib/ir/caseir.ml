@@ -60,8 +60,6 @@ type t = {
   sup_out : int array;  (** SupportedBy targets, link order per entity. *)
   sup_in_off : int array;
   sup_in : int array;  (** SupportedBy sources, link order per entity. *)
-  ctx_out_off : int array;
-  ctx_out : int array;  (** InContextOf targets, link order per entity. *)
   roots : int list;  (** Unsupported non-contextual nodes, node order. *)
   reachable : bool array;
       (** Entity reachable from some root over SupportedBy, or in the
@@ -188,12 +186,6 @@ let intern structure =
           Some (link_dst.(k), link_src.(k))
         else None)
   in
-  let ctx_out_off, ctx_out =
-    csr (fun k ->
-        if link_kind.(k) = Structure.In_context_of then
-          Some (link_src.(k), link_dst.(k))
-        else None)
-  in
   (* Roots: no incoming SupportedBy, non-contextual type — node order. *)
   let roots = ref [] in
   for i = n_nodes - 1 downto 0 do
@@ -217,12 +209,11 @@ let intern structure =
   in
   List.iter mark roots;
   let reachable = Array.copy supported in
-  for i = 0 to n_entities - 1 do
-    if supported.(i) then
-      for k = ctx_out_off.(i) to ctx_out_off.(i + 1) - 1 do
-        reachable.(ctx_out.(k)) <- true
-      done
-  done;
+  Array.iteri
+    (fun k kind ->
+      if kind = Structure.In_context_of && supported.(link_src.(k)) then
+        reachable.(link_dst.(k)) <- true)
+    link_kind;
   (* Cached text derivations. *)
   let goal_like = Array.make (max 1 n_nodes) false in
   let norm = Array.make (max 1 n_nodes) "" in
@@ -254,8 +245,6 @@ let intern structure =
     sup_out;
     sup_in_off;
     sup_in;
-    ctx_out_off;
-    ctx_out;
     roots;
     reachable;
     goal_like;

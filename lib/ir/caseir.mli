@@ -53,8 +53,6 @@ type t = {
   sup_out : int array;  (** SupportedBy targets, link order per entity. *)
   sup_in_off : int array;
   sup_in : int array;  (** SupportedBy sources, link order per entity. *)
-  ctx_out_off : int array;
-  ctx_out : int array;  (** InContextOf targets, link order per entity. *)
   roots : int list;  (** As {!Argus_gsn.Structure.roots}, node order. *)
   reachable : bool array;
       (** {!Argus_gsn.Wellformed}'s reachability: the SupportedBy

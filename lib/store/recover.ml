@@ -17,8 +17,8 @@
    Digest verification is the load-bearing step: the digest in each
    record is what the store answered when the operation originally
    committed, so equality after replay proves the recovered case is
-   byte-identical (the digest is a Merkle sum over payloads and
-   topology) and therefore that verdicts stay byte-identical to
+   byte-identical (the digest is a flat sum over payloads, links and
+   evidence) and therefore that verdicts stay byte-identical to
    [Fused.check] — PR 8's invariant, carried across the crash.
 
    Records with seq <= snapshot seq can legitimately appear (a crash

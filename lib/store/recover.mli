@@ -4,9 +4,10 @@
     tmp files, loads the newest snapshot (refusing a damaged one —
     see {!Snapshot}), then replays WAL records with
     [seq > snapshot seq] in order.  A torn WAL tail is truncated on
-    disk; mid-stream corruption, sequence gaps, or any recovered
-    case whose recomputed Merkle digest differs from the digest the
-    log recorded are refused with a precise diagnostic.  Digest
+    disk; files of another on-disk format ({!Wal.format}), mid-stream
+    corruption, sequence gaps, or any recovered case whose recomputed
+    digest differs from the digest the log recorded are refused with
+    a precise diagnostic.  Digest
     equality after replay is what carries PR 8's invariant across a
     crash: verdicts on recovered cases stay byte-identical to
     [Fused.check].

@@ -3,9 +3,10 @@
    A snapshot is the WAL's rendezvous point: once `snapshot-<seq>.snap`
    holds every case as of sequence number <seq>, the log can be reset
    and recovery starts from the snapshot instead of replaying history.
-   The file reuses the WAL's framing — magic, then ONE crc-framed
-   record whose payload is Marshal of {seq; cases} — so the same
-   checksum discipline covers both files.
+   The file reuses the WAL's framing — magic ("ARGUSSNAP" and the
+   WAL's format version), then ONE crc-framed record whose payload is
+   Marshal of {seq; cases} — so the same checksum discipline and the
+   same format refusal cover both files.
 
    Atomicity: write to `<name>.tmp`, fsync the file, rename over the
    final name, fsync the directory.  A crash at any point leaves
@@ -29,7 +30,8 @@ module Counter = Argus_obs.Counter
 
 let c_snapshots = Counter.make "store.snapshots"
 
-let magic = "ARGUSSNAP1\n"
+let snap_stem = "ARGUSSNAP"
+let magic = Printf.sprintf "%s%d\n" snap_stem Wal.format
 
 type image = {
   seq : int;  (** Last WAL sequence number the snapshot covers. *)
@@ -124,29 +126,36 @@ let read path : (image, string) result =
   | exception Fault.Injected probe ->
       Error (Printf.sprintf "injected fault at probe %s reading %s" probe path)
   | exception Sys_error msg -> Error msg
-  | data ->
-      let n = String.length data in
-      let mlen = String.length magic in
-      if n < mlen || String.sub data 0 mlen <> magic then
-        Error (Printf.sprintf "%s: not an argus snapshot (bad magic)" path)
-      else if n - mlen < 8 then
-        Error (Printf.sprintf "%s: snapshot truncated (no record header)" path)
-      else
-        let len = Wal.read_u32le data mlen in
-        let crc = Wal.read_u32le data (mlen + 4) in
-        if len <> n - mlen - 8 then
-          Error
-            (Printf.sprintf
-               "%s: snapshot truncated (record claims %d bytes, %d present)"
-               path len (n - mlen - 8))
-        else
-          let payload = String.sub data (mlen + 8) len in
-          if Wal.crc32 payload <> crc then
-            Error (Printf.sprintf "%s: snapshot checksum mismatch" path)
+  | data -> (
+      match Wal.format_mismatch ~stem:snap_stem ~what:"snapshot" data with
+      | Some diagnostic -> Error (Printf.sprintf "%s: %s" path diagnostic)
+      | None ->
+          let n = String.length data in
+          let mlen = String.length magic in
+          if n < mlen || String.sub data 0 mlen <> magic then
+            Error
+              (Printf.sprintf "%s: not an argus snapshot (bad magic)" path)
+          else if n - mlen < 8 then
+            Error
+              (Printf.sprintf "%s: snapshot truncated (no record header)"
+                 path)
           else
-            match (Marshal.from_string payload 0 : image) with
-            | image -> Ok image
-            | exception _ ->
-                Error
-                  (Printf.sprintf
-                     "%s: snapshot undecodable (checksum valid)" path)
+            let len = Wal.read_u32le data mlen in
+            let crc = Wal.read_u32le data (mlen + 4) in
+            if len <> n - mlen - 8 then
+              Error
+                (Printf.sprintf
+                   "%s: snapshot truncated (record claims %d bytes, %d \
+                    present)"
+                   path len (n - mlen - 8))
+            else
+              let payload = String.sub data (mlen + 8) len in
+              if Wal.crc32 payload <> crc then
+                Error (Printf.sprintf "%s: snapshot checksum mismatch" path)
+              else
+                match (Marshal.from_string payload 0 : image) with
+                | image -> Ok image
+                | exception _ ->
+                    Error
+                      (Printf.sprintf
+                         "%s: snapshot undecodable (checksum valid)" path))

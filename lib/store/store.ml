@@ -1,5 +1,5 @@
 (* The incremental assurance-case store: content-addressed cases,
-   Merkle-style digests and memoized per-node verdicts.
+   flat-sum digests and memoized per-node verdicts.
 
    The heavy-traffic workload is many clients mutating large living
    cases, each edit needing a fast re-verdict — not one-shot batch
@@ -7,16 +7,15 @@
    plus a full fused pass per edit; here an edit re-checks only its
    dirty cone:
 
-   - {e Merkle digests.}  Each node carries a digest covering its
-     payload, its id, and the digests of its SupportedBy /
-     InContextOf children; the case digest folds the per-node digests
-     (plus the evidence table) into an order-independent 128-bit sum,
-     so two structurally equal cases get one digest no matter the
-     insertion order.  A payload edit re-digests only the edited
-     node's ancestor cone and adjusts the sum by the changed terms.
-     When the combined support/context relation is cyclic the subtree
-     digest is not well defined, so the case digest falls back to an
-     equally canonical flat sum over payloads and links.
+   - {e Flat-sum digests.}  The case digest is MD5 of an
+     order-independent, invertible 128-bit sum with one term per node
+     payload (id, type, status, text, formal rendering, annotations,
+     evidence citation), one per link (kind, source id, target id)
+     and one per evidence entry.  Equal nodes, links (as a multiset)
+     and evidence give equal digests whatever the insertion order, and
+     cycles and dangling endpoints need no special case.  A payload
+     edit swaps the edited node's term out of the sum and the new one
+     in: O(edited nodes), whatever the depth or fan-out above it.
 
    - {e Verdict memo.}  Each node's well-formedness findings and
      per-node lints depend on a small, explicit input set: its
@@ -83,15 +82,6 @@ type case_state = {
   mutable structure : Structure.t;
   ruleset : Wellformed.ruleset;
   mutable ir : Caseir.t;
-  mutable ctx_in : int list array;
-      (** Per entity: InContextOf sources — the reverse edges the
-          dirty-cone walk needs and the IR's CSR does not keep. *)
-  mutable acyclic : bool;
-      (** Combined SupportedBy/InContextOf relation acyclic. *)
-  mutable elem : string array;
-      (** Per node: its term in the case-digest sum — the Merkle
-          subtree digest when acyclic, the local payload digest
-          otherwise. *)
   mutable sum : Bytes.t;  (** Rolling 128-bit sum of all terms. *)
   mutable digest : string;
   mutable keys : string array;  (** Per node: verdict-memo key. *)
@@ -157,104 +147,35 @@ let evidence_digest ev = Digest.string ("e\x00" ^ Marshal.to_string ev [])
 
 let link_digest kind src dst =
   Digest.string
-    (Printf.sprintf "l\x00%s\x00%s\x00%s"
-       (match kind with
-       | Structure.Supported_by -> "s"
-       | Structure.In_context_of -> "c")
-       (Id.to_string src) (Id.to_string dst))
+    (String.concat "\x00"
+       [
+         "l";
+         (match kind with
+         | Structure.Supported_by -> "s"
+         | Structure.In_context_of -> "c");
+         Id.to_string src;
+         Id.to_string dst;
+       ])
 
-let dangling_digest id = Digest.string ("d\x00" ^ Id.to_string id)
-let cycle_digest id = Digest.string ("y\x00" ^ Id.to_string id)
-
-(* The Merkle subtree digest of every node: local payload digest plus
-   the sorted digests of its SupportedBy and InContextOf children.
-   Sorting makes sibling order irrelevant, so structurally equal cases
-   digest equal.  A grey child during the DFS marks the combined
-   relation cyclic; the caller then discards these in favour of the
-   flat scheme (a traversal-order-dependent cycle cut would break
-   order independence). *)
-let merkle_subs (ir : Caseir.t) =
-  let n = ir.Caseir.n_nodes in
-  let subs = Array.make (max 1 n) "" in
-  let state = Array.make (max 1 ir.Caseir.n_entities) 0 in
-  let cyclic = ref false in
-  let rec sub i =
-    if i >= n then dangling_digest ir.Caseir.ids.(i)
-    else if state.(i) = 1 then begin
-      cyclic := true;
-      cycle_digest ir.Caseir.ids.(i)
-    end
-    else if state.(i) = 2 then subs.(i)
-    else begin
-      state.(i) <- 1;
-      let kids off dat =
-        let acc = ref [] in
-        for k = off.(i) to off.(i + 1) - 1 do
-          acc := sub dat.(k) :: !acc
-        done;
-        List.sort String.compare !acc
-      in
-      let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
-      let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
-      let d =
-        Digest.string
-          (String.concat ""
-             ("m\x00" :: local_digest ir.Caseir.nodes.(i)
-             :: "\x01" :: s
-             @ ("\x02" :: c)))
-      in
-      state.(i) <- 2;
-      subs.(i) <- d;
-      d
-    end
-  in
-  for i = 0 to n - 1 do
-    ignore (sub i)
-  done;
-  (subs, not !cyclic)
-
-let render_digest ~acyclic sum =
-  Digest.to_hex
-    (Digest.string ((if acyclic then "A" else "C") ^ Bytes.to_string sum))
-
-(* Full digest state of an IR: the per-node terms, cyclicity, the sum
-   (including evidence and, when cyclic, link terms) and the final
-   case digest. *)
-let digest_state (ir : Caseir.t) =
-  let subs, acyclic = merkle_subs ir in
-  let n = ir.Caseir.n_nodes in
-  let elem =
-    if acyclic then subs
-    else Array.init (max 1 n) (fun i -> local_digest ir.Caseir.nodes.(i))
-  in
+(* The case sum: one term per node payload, per link and per evidence
+   entry.  [nodes] is the structure's node table — the IR's array on a
+   put, so the structure's node list is not rebuilt. *)
+let case_sum (nodes : Node.t array) structure =
   let sum = sum_zero () in
-  for i = 0 to n - 1 do
-    sum_add sum elem.(i)
-  done;
-  if acyclic then begin
-    (* A real source's Merkle digest covers its out-links; a dangling
-       source has no digest of its own, so its out-links enter the sum
-       directly or they would be invisible. *)
-    for k = 0 to Array.length ir.Caseir.link_kind - 1 do
-      let si = ir.Caseir.link_src.(k) in
-      if si >= n then
-        sum_add sum
-          (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
-             ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
-    done
-  end
-  else
-    List.iter
-      (fun (kind, src, dst) -> sum_add sum (link_digest kind src dst))
-      (Structure.links ir.Caseir.structure);
+  Array.iter (fun n -> sum_add sum (local_digest n)) nodes;
+  List.iter
+    (fun (kind, src, dst) -> sum_add sum (link_digest kind src dst))
+    (Structure.links structure);
   List.iter
     (fun ev -> sum_add sum (evidence_digest ev))
-    (Structure.evidence ir.Caseir.structure);
-  (elem, acyclic, sum, render_digest ~acyclic sum)
+    (Structure.evidence structure);
+  sum
+
+let render_digest sum = Digest.to_hex (Digest.string (Bytes.to_string sum))
 
 let digest_of structure =
-  let _, _, _, digest = digest_state (Caseir.intern structure) in
-  digest
+  render_digest
+    (case_sum (Array.of_list (Structure.nodes structure)) structure)
 
 (* --- verdict-memo keys --- *)
 
@@ -351,16 +272,6 @@ let set_node_verdict st i (wf, inf) =
 
 (* --- building and rebuilding case state --- *)
 
-let build_ctx_in (ir : Caseir.t) =
-  let ctx_in = Array.make (max 1 ir.Caseir.n_entities) [] in
-  Array.iteri
-    (fun k kind ->
-      if kind = Structure.In_context_of then
-        let d = ir.Caseir.link_dst.(k) in
-        ctx_in.(d) <- ir.Caseir.link_src.(k) :: ctx_in.(d))
-    ir.Caseir.link_kind;
-  ctx_in
-
 (* Full (re)build from a structure: intern, then recompute digests,
    keys, per-node verdicts (mostly memo hits after a shape edit) and
    the link/shape findings. *)
@@ -369,12 +280,8 @@ let rebuild store st structure =
   let n = ir.Caseir.n_nodes in
   st.structure <- structure;
   st.ir <- ir;
-  st.ctx_in <- build_ctx_in ir;
-  let elem, acyclic, sum, digest = digest_state ir in
-  st.elem <- elem;
-  st.acyclic <- acyclic;
-  st.sum <- sum;
-  st.digest <- digest;
+  st.sum <- case_sum ir.Caseir.nodes structure;
+  st.digest <- render_digest st.sum;
   st.keys <- Array.make (max 1 n) "";
   st.wf_node <- Array.make (max 1 n) [];
   st.inf_node <- Array.make (max 1 n) [];
@@ -393,9 +300,6 @@ let fresh_state ruleset =
     structure = Structure.empty;
     ruleset;
     ir = Caseir.intern Structure.empty;
-    ctx_in = [||];
-    acyclic = true;
-    elem = [||];
     sum = sum_zero ();
     digest = "";
     keys = [||];
@@ -464,82 +368,6 @@ let cases store =
         store.cases []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
 
-(* The ancestor cone of the edited nodes: everything whose Merkle
-   digest covers them, over reverse SupportedBy and reverse
-   InContextOf edges.  Only meaningful in acyclic mode (cyclic-mode
-   terms are local, so the cone is the edited set itself). *)
-let ancestor_cone st seeds =
-  let ir = st.ir in
-  let n = ir.Caseir.n_nodes in
-  let visited = Array.make (max 1 n) false in
-  let rec up i =
-    if i < n && not visited.(i) then begin
-      visited.(i) <- true;
-      for k = ir.Caseir.sup_in_off.(i) to ir.Caseir.sup_in_off.(i + 1) - 1 do
-        up ir.Caseir.sup_in.(k)
-      done;
-      List.iter up st.ctx_in.(i)
-    end
-  in
-  List.iter up seeds;
-  let cone = ref ISet.empty in
-  for i = 0 to n - 1 do
-    if visited.(i) then cone := ISet.add i !cone
-  done;
-  !cone
-
-(* Re-digest after payload-only edits: recompute the Merkle digests of
-   the ancestor cone (cached digests outside it are final, and the
-   acyclic guarantee makes the recursion terminate), swapping each
-   changed term out of the sum and the new one in. *)
-let redigest_cone st cone =
-  let ir = st.ir in
-  let n = ir.Caseir.n_nodes in
-  if not st.acyclic then begin
-    (* Cyclic mode: terms are local payload digests, so each edited
-       node swaps exactly its own term. *)
-    ISet.iter
-      (fun i ->
-        let d = local_digest ir.Caseir.nodes.(i) in
-        sum_sub st.sum st.elem.(i);
-        sum_add st.sum d;
-        st.elem.(i) <- d)
-      cone;
-    st.digest <- render_digest ~acyclic:false st.sum
-  end
-  else begin
-  let computed = Array.make (max 1 n) false in
-  let rec sub i =
-    if i >= n then dangling_digest ir.Caseir.ids.(i)
-    else if computed.(i) || not (ISet.mem i cone) then st.elem.(i)
-    else begin
-      let kids off dat =
-        let acc = ref [] in
-        for k = off.(i) to off.(i + 1) - 1 do
-          acc := sub dat.(k) :: !acc
-        done;
-        List.sort String.compare !acc
-      in
-      let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
-      let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
-      let d =
-        Digest.string
-          (String.concat ""
-             ("m\x00" :: local_digest ir.Caseir.nodes.(i)
-             :: "\x01" :: s
-             @ ("\x02" :: c)))
-      in
-      computed.(i) <- true;
-      sum_sub st.sum st.elem.(i);
-      sum_add st.sum d;
-      st.elem.(i) <- d;
-      d
-    end
-  in
-  ISet.iter (fun i -> ignore (sub i)) cone;
-  st.digest <- render_digest ~acyclic:true st.sum
-  end
-
 (* The nodes whose memo keys a payload edit of [i] can change: [i]
    itself, its SupportedBy parents (their equivocation lints read
    [i]'s content words), and its SupportedBy children (a solution
@@ -604,19 +432,24 @@ let patch store ~digest edits =
           match apply_edits st.structure edits with
           | Error _ as e -> e
           | Ok (structure, Some payload_edits) ->
-              (* Payload-only fast path: patch the IR arrays in place,
-                 re-key and re-verdict the edit's neighbourhood,
-                 re-digest its ancestor cone. *)
+              (* Payload-only fast path: swap each edited node's term
+                 in the case sum (the old payload is read before
+                 [set_node] overwrites it), patch the IR arrays in
+                 place, then re-key and re-verdict the edit's
+                 neighbourhood. *)
               let seeds = ref [] in
               List.iter
                 (fun (id, n') ->
                   match Caseir.entity_index st.ir id with
                   | None -> ()
                   | Some i ->
+                      sum_sub st.sum (local_digest st.ir.Caseir.nodes.(i));
+                      sum_add st.sum (local_digest n');
                       st.ir <- Caseir.set_node st.ir structure i n';
                       seeds := i :: !seeds)
                 payload_edits;
               st.structure <- structure;
+              st.digest <- render_digest st.sum;
               let seeds = !seeds in
               let keys =
                 List.fold_left
@@ -628,11 +461,6 @@ let patch store ~digest edits =
                   st.keys.(i) <- node_key st.ir i;
                   set_node_verdict st i (node_verdict store st i))
                 keys;
-              let cone =
-                if st.acyclic then ancestor_cone st seeds
-                else ISet.of_list seeds
-              in
-              redigest_cone st cone;
               st.cached <- None;
               Hashtbl.remove store.cases digest;
               Hashtbl.replace store.cases st.digest st;

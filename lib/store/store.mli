@@ -9,10 +9,10 @@
     Two layers of reuse make an edit of one node in a 100k-node case
     near-constant instead of a full re-check:
 
-    - {e Merkle-style digests} — each node's digest covers its payload
-      and its children's digests, folded into an order-independent
-      128-bit sum, so a payload edit re-digests only its ancestor
-      cone;
+    - {e flat-sum digests} — one term per node payload, per link and
+      per evidence entry, folded into an order-independent, invertible
+      128-bit sum, so a payload edit swaps the edited node's term and
+      costs O(edited nodes) whatever the case's depth or fan-out;
     - a {e verdict memo} keyed by a digest of exactly the inputs each
       node's findings read ([store.reused_verdicts] counts reuse,
       [store.dirty_cone] counts nodes actually re-checked).
@@ -92,7 +92,8 @@ val verdict : t -> digest:string -> (verdict, error) result
     [digest], assembled from cached per-node findings. *)
 
 val digest_of : Argus_gsn.Structure.t -> string
-(** The digest [put] would assign, without storing anything. *)
+(** The digest [put] would assign, without storing or interning
+    anything: one MD5 per node, link and evidence entry. *)
 
 val mem : t -> string -> bool
 val case : t -> string -> Argus_gsn.Structure.t option

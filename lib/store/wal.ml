@@ -8,7 +8,7 @@
    engine's, and dumb framing keeps the torn-write analysis exact:
 
      file   := magic record*
-     magic  := "ARGUSWAL1\n"
+     magic  := "ARGUSWAL" format "\n"      (format = 2)
      record := len:u32le crc:u32le payload[len]
 
    [crc] is CRC-32 (IEEE) of the payload bytes; the payload is the
@@ -50,7 +50,30 @@ module Counter = Argus_obs.Counter
 let c_appends = Counter.make "store.wal_appends"
 let c_fsyncs = Counter.make "store.wal_fsyncs"
 
-let magic = "ARGUSWAL1\n"
+(* The on-disk format of the WAL and of {!Snapshot}, which reuses its
+   framing.  Format 1 logged Merkle case digests; format 2 logs the
+   flat-sum digests of DESIGN.md §14.  Every logged digest depends on
+   the scheme, so a file of another format is refused by name. *)
+let format = 2
+
+let wal_stem = "ARGUSWAL"
+let magic = Printf.sprintf "%s%d\n" wal_stem format
+
+let format_mismatch ~stem ~what data =
+  let sl = String.length stem in
+  if not (String.starts_with ~prefix:stem data) then None
+  else
+    match String.index_from_opt data sl '\n' with
+    | None -> None
+    | Some nl -> (
+        match int_of_string_opt (String.sub data sl (nl - sl)) with
+        | Some v when v <> format ->
+            Some
+              (Printf.sprintf "%s format %d, this build reads format %d (%s)"
+                 what v format
+                 (if v < format then "case digest scheme changed"
+                  else "written by a newer build"))
+        | _ -> None)
 
 type sync = Always | Interval of float | Never
 
@@ -100,10 +123,11 @@ type tail =
       (** The file is valid up to [offset]; [dropped] trailing bytes
           are a torn final record and should be truncated away. *)
 
-(* Decode a whole log image.  Returns the valid prefix of records plus
-   the tail state, or [Error] with a precise diagnostic for anything
-   that is not explainable as an interrupted append. *)
-let parse (data : string) : (record list * tail, string) result =
+(* Decode a whole log image of this build's format.  Returns the valid
+   prefix of records plus the tail state, or [Error] with a precise
+   diagnostic for anything that is not explainable as an interrupted
+   append. *)
+let parse_current (data : string) : (record list * tail, string) result =
   let n = String.length data in
   let mlen = String.length magic in
   if n < mlen then
@@ -168,6 +192,11 @@ let parse (data : string) : (record list * tail, string) result =
     done;
     match !result with Some r -> r | None -> assert false
   end
+
+let parse data =
+  match format_mismatch ~stem:wal_stem ~what:"WAL" data with
+  | Some diagnostic -> Error diagnostic
+  | None -> parse_current data
 
 (* --- the append handle --- *)
 

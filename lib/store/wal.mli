@@ -1,6 +1,6 @@
 (** Append-only write-ahead log of store operations.
 
-    File layout: a magic line ["ARGUSWAL1\n"] followed by records of
+    File layout: a magic line ["ARGUSWAL2\n"] followed by records of
     the form [len:u32le ^ crc32:u32le ^ payload], where the payload is
     the [Marshal] encoding of {!record}.  {!parse} classifies damage:
     an interrupted append (incomplete record, or a bad checksum in the
@@ -30,7 +30,18 @@ type record = {
           committed; recovery recomputes and verifies it. *)
 }
 
+val format : int
+(** The on-disk format version of the WAL and snapshot files: [2],
+    whose records carry flat-sum case digests. *)
+
 val magic : string
+(** ["ARGUSWAL2\n"], derived from {!format}. *)
+
+val format_mismatch : stem:string -> what:string -> string -> string option
+(** [format_mismatch ~stem ~what data] is a diagnostic naming both
+    formats when [data] starts with the magic [stem] (["ARGUSWAL"],
+    ["ARGUSSNAP"]) followed by a version line other than {!format};
+    [None] otherwise.  [what] names the file kind in the message. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE) of a string, in [0, 0xFFFFFFFF]. *)
@@ -53,9 +64,9 @@ type tail =
 
 val parse : string -> (record list * tail, string) result
 (** Decode a whole log image: the checksum-valid record prefix plus
-    the tail state, or [Error diagnostic] for mid-stream corruption
-    (bad magic, checksum failure before the end, undecodable
-    payload). *)
+    the tail state, or [Error diagnostic] for a log of another
+    {!format} (named as such) and for mid-stream corruption (bad
+    magic, checksum failure before the end, undecodable payload). *)
 
 (** {1 Appending} *)
 

@@ -14,7 +14,6 @@
 #include <caml/threads.h>
 #include <caml/unixsupport.h>
 
-#ifndef _WIN32
 #include <errno.h>
 #include <poll.h>
 #include <stdlib.h>
@@ -97,31 +96,3 @@ CAMLprim value argus_nofile_raise(value v_want)
   if (rl.rlim_cur == RLIM_INFINITY) return Val_long(1 << 20);
   return Val_long((long)rl.rlim_cur);
 }
-
-CAMLprim value argus_poll_available(value unit)
-{
-  (void)unit;
-  return Val_true;
-}
-
-#else /* _WIN32: select-only platform; the OCaml side falls back. */
-
-CAMLprim value argus_poll_read(value v_fds, value v_nfds, value v_timeout)
-{
-  (void)v_fds; (void)v_nfds; (void)v_timeout;
-  caml_failwith("argus_poll_read: unavailable on this platform");
-}
-
-CAMLprim value argus_nofile_raise(value v_want)
-{
-  (void)v_want;
-  return Val_long(512);
-}
-
-CAMLprim value argus_poll_available(value unit)
-{
-  (void)unit;
-  return Val_false;
-}
-
-#endif

@@ -2,12 +2,8 @@ external poll_read_stub : Unix.file_descr array -> int -> int -> int array
   = "argus_poll_read"
 
 external nofile_raise_stub : int -> int = "argus_nofile_raise"
-external poll_available_stub : unit -> bool = "argus_poll_available"
 
-let poll_available () = poll_available_stub ()
 let nofile_raise want = nofile_raise_stub want
-
-type backend = Poll | Select
 
 (* Dense array of registered fds plus an fd -> slot table: add appends,
    remove swaps the last entry into the vacated slot.  The array is
@@ -15,27 +11,14 @@ type backend = Poll | Select
    wait allocates nothing proportional to the registered set beyond the
    kernel call itself. *)
 type t = {
-  be : backend;
   mutable fds : Unix.file_descr array;
   mutable n : int;
   slots : (Unix.file_descr, int) Hashtbl.t;
 }
 
-let create ?backend () =
-  let be =
-    match backend with
-    | Some b -> b
-    | None -> if poll_available () then Poll else Select
-  in
-  {
-    be;
-    fds = Array.make 64 Unix.stdin;
-    n = 0;
-    slots = Hashtbl.create 64;
-  }
+let create () =
+  { fds = Array.make 64 Unix.stdin; n = 0; slots = Hashtbl.create 64 }
 
-let backend t = t.be
-let backend_name t = match t.be with Poll -> "poll" | Select -> "select"
 let registered t = t.n
 let mem t fd = Hashtbl.mem t.slots fd
 
@@ -75,13 +58,6 @@ let wait_poll t ~timeout_ms =
      single-owner so nothing mutated it during the call. *)
   Array.fold_left (fun acc i -> t.fds.(i) :: acc) [] ready
 
-let wait_select t ~timeout_ms =
-  let fds = Array.to_list (Array.sub t.fds 0 t.n) in
-  let timeout = if timeout_ms < 0. then -1. else timeout_ms /. 1000. in
-  match Unix.select fds [] [] timeout with
-  | readable, _, _ -> readable
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-
 let wait t ~timeout_ms =
   if t.n = 0 then begin
     (* Nothing registered: just sleep out the timeout (a signal still
@@ -95,7 +71,4 @@ let wait t ~timeout_ms =
      with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     []
   end
-  else
-    match t.be with
-    | Poll -> wait_poll t ~timeout_ms
-    | Select -> wait_select t ~timeout_ms
+  else wait_poll t ~timeout_ms

@@ -1,15 +1,13 @@
 (** Readiness engine for the acceptor: "which of these descriptors can
     be read, within this deadline?".
 
-    Two backends behind one interface.  [Poll] drives {!wait} through a
-    [poll(2)] C stub — no [FD_SETSIZE] ceiling, so the server's
-    connection cap is bounded by [RLIMIT_NOFILE] and config, not by the
-    1024-slot [fd_set] that made the old [select] loop raise once a
-    descriptor's {i number} crossed 1024.  [Select] is a portable
-    fallback over [Unix.select] retaining that ceiling; it exists so the
-    engine (and everything above it) can be differentially tested
-    against the stub, and as the escape hatch on platforms without the
-    stub.
+    {!wait} drives [poll(2)] through a C stub — no [FD_SETSIZE]
+    ceiling, so the server's connection cap is bounded by
+    [RLIMIT_NOFILE] and config, not by the 1024-slot [fd_set] that made
+    the old [select] loop raise once a descriptor's {i number} crossed
+    1024.  The server needs a POSIX host anyway (it ignores [SIGPIPE]),
+    so there is no fallback backend; test/oracle keeps a [select]-based
+    wait that test/svc checks this engine against.
 
     The registered set is maintained incrementally — {!add} and
     {!remove} are O(1) (dense array + slot table, remove swaps with the
@@ -18,20 +16,9 @@
     the acceptor registers, waits, and dispatches; worker domains never
     touch it (they wake the acceptor through its self-pipe instead). *)
 
-type backend = Poll | Select
-
 type t
 
-val poll_available : unit -> bool
-(** Whether the [poll(2)] stub is usable on this platform. *)
-
-val create : ?backend:backend -> unit -> t
-(** Default backend: [Poll] when {!poll_available}, else [Select]. *)
-
-val backend : t -> backend
-
-val backend_name : t -> string
-(** ["poll"] or ["select"] — surfaced in the server's stats payload. *)
+val create : unit -> t
 
 val add : t -> Unix.file_descr -> unit
 (** Register a descriptor for readability.  Adding a registered

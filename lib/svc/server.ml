@@ -255,7 +255,6 @@ let stats_json t =
     ("restarts", Json.int (Supervisor.restarts t.sup));
     ("conns", Json.int (Hashtbl.length t.conns));
     ("max_conns", Json.int t.cfg.max_conns);
-    ("readiness", Json.Str (Readiness.backend_name t.engine));
     ("workers", Json.List (workers_json t));
     ("breakers", Json.Obj (breakers_json t));
     ( "counters",
@@ -535,8 +534,7 @@ let sweep t now =
 
 (* Keep the listeners registered exactly while there is room: at the
    cap further clients wait in the listen backlog instead of consuming
-   descriptors (and under [select] fallback, instead of pushing an fd
-   past FD_SETSIZE where select raises). *)
+   descriptors. *)
 let arm_listeners t =
   let under = Hashtbl.length t.conns < t.cfg.max_conns in
   List.iter

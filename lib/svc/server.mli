@@ -2,15 +2,15 @@
     speaking the line-delimited JSON {!Protocol}, dispatching to a
     supervised {!Supervisor} pool.
 
-    The acceptor runs single-threaded over a {!Readiness} engine
-    ([poll(2)] where available, [select] fallback): it owns admission
-    (shedding, breaker refusals, [health] and [stats] are answered
-    without touching a worker — monitoring keeps working when the queue
-    is full), workers write their responses back through the
-    originating connection's write lock, in completion order.  The loop
-    blocks until the next {e computed} deadline — frame read deadlines
-    and idle reaps are timers, not polls — and is woken through a
-    self-pipe by whichever thread finishes a connection.  Every parsed
+    The acceptor runs single-threaded over a [poll(2)] {!Readiness}
+    engine: it owns admission (shedding, breaker refusals, [health] and
+    [stats] are answered without touching a worker — monitoring keeps
+    working when the queue is full), workers write their responses
+    back through the originating connection's write lock, in
+    completion order.  The loop blocks until the next {e computed}
+    deadline — frame read deadlines and idle reaps are timers, not
+    polls — and is woken through a self-pipe by whichever thread
+    finishes a connection.  Every parsed
     request gets a trace id (client-sent or server-minted) echoed in
     its response; [trace: true] requests return their server-side span
     tree in the payload.  The write lock also guards the connection's
@@ -68,9 +68,7 @@ type config = {
   max_conns : int;
       (** Simultaneous-connection cap: at the cap the listeners leave
           the readiness set, so further clients wait in the listen
-          backlog.  With the poll backend the only other ceiling is
-          [RLIMIT_NOFILE]; the select fallback still caps near
-          [FD_SETSIZE]. *)
+          backlog.  The only other ceiling is [RLIMIT_NOFILE]. *)
   write_timeout_ms : float;
       (** [SO_SNDTIMEO] on accepted sockets: a client that stops
           reading forfeits its connection once a reply write blocks

@@ -347,6 +347,46 @@ let digest_separates =
       ~links:[ (Structure.Supported_by, "G1", "G2") ]
       [ Node.goal "G1" "A holds"; Node.goal "G2" "C holds" ]
   in
+  (* A cyclic and an acyclic case one link apart. *)
+  let c1 =
+    Structure.of_nodes
+      ~links:
+        [
+          (Structure.Supported_by, "G1", "G2");
+          (Structure.Supported_by, "G2", "G1");
+        ]
+      [ Node.goal "G1" "A holds"; Node.goal "G2" "B holds" ]
+  in
+  (* The same endpoints under the other link kind. *)
+  let k1 =
+    Structure.of_nodes
+      ~links:[ (Structure.In_context_of, "G1", "G2") ]
+      [ Node.goal "G1" "A holds"; Node.goal "G2" "B holds" ]
+  in
+  (* One source linked to either of two targets. *)
+  let t1 =
+    Structure.of_nodes
+      ~links:[ (Structure.Supported_by, "G1", "G2") ]
+      [ Node.goal "G1" "A holds"; Node.goal "G2" "B holds"; Node.goal "G3" "C" ]
+  in
+  let t2 =
+    Structure.of_nodes
+      ~links:[ (Structure.Supported_by, "G1", "G3") ]
+      [ Node.goal "G1" "A holds"; Node.goal "G2" "B holds"; Node.goal "G3" "C" ]
+  in
+  (* The same nodes and links over two evidence tables. *)
+  let e1 =
+    Structure.of_nodes
+      ~evidence:
+        [ Evidence.make ~id:(Id.of_string "E0") ~kind:Evidence.Analysis "a" ]
+      [ Node.goal "G1" "A holds" ]
+  in
+  let e2 =
+    Structure.of_nodes
+      ~evidence:
+        [ Evidence.make ~id:(Id.of_string "E0") ~kind:Evidence.Review "a" ]
+      [ Node.goal "G1" "A holds" ]
+  in
   (* Links out of dangling entities must be visible to the digest. *)
   let d1 =
     Structure.of_nodes
@@ -363,7 +403,7 @@ let digest_separates =
       [ Node.goal "G1" "A holds" ]
   in
   fun () ->
-    let all = [ s1; s2; s3; d1; d2 ] in
+    let all = [ s1; s2; s3; c1; k1; t1; t2; e1; e2; d1; d2 ] in
     List.iteri
       (fun i a ->
         List.iteri
@@ -762,6 +802,46 @@ let test_corrupt_refused_end_to_end () =
          in
          has "mid-stream" || has "checksum")
 
+(* A data dir written under an earlier on-disk format — its WAL or its
+   newest snapshot carries format-1 magic — is refused with both
+   formats named, not replayed: format 1 logged case digests of another
+   scheme, so it would otherwise read as a log that does not describe
+   its store (or, empty, as a fresh start). *)
+let test_old_format_refused () =
+  without_faults @@ fun () ->
+  let refused what dir =
+    match Durable.create ~dir ~sync:Wal.Always () with
+    | Ok _ -> Alcotest.failf "%s of format 1 must refuse to open" what
+    | Error diagnostic ->
+        let has needle =
+          let nh = String.length diagnostic and nn = String.length needle in
+          let rec go i =
+            i + nn <= nh && (String.sub diagnostic i nn = needle || go (i + 1))
+          in
+          go 0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s diagnostic names both formats: %s" what
+             diagnostic)
+          true
+          (has "format 1" && has (Printf.sprintf "format %d" Wal.format))
+  in
+  (with_dir @@ fun dir ->
+   Out_channel.with_open_bin (Recover.wal_path dir) (fun oc ->
+       output_string oc "ARGUSWAL1\n");
+   refused "WAL" dir);
+  with_dir @@ fun dir ->
+  let payload = Marshal.to_string { Snapshot.seq = 3; cases = [] } [] in
+  Out_channel.with_open_bin
+    (Filename.concat dir (Snapshot.filename ~seq:3))
+    (fun oc ->
+      output_string oc
+        ("ARGUSSNAP1\n"
+        ^ Wal.u32le (String.length payload)
+        ^ Wal.u32le (Wal.crc32 payload)
+        ^ payload));
+  refused "snapshot" dir
+
 (* Injected I/O faults trip read-only, stick, and never lose acked
    state: after reopening the dir, everything acked before the fault
    is back and verdicts are byte-identical. *)
@@ -1008,5 +1088,7 @@ let () =
             (durable_differential 1);
           Alcotest.test_case "durable differential, 8 domains" `Quick
             (durable_differential 8);
+          Alcotest.test_case "earlier on-disk format refused by name" `Quick
+            test_old_format_refused;
         ] );
     ]

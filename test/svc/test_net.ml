@@ -1,8 +1,8 @@
-(* Network-layer tests: endpoint parsing, the readiness engine (both
-   backends), line-framing fuzz against a live server, the resilient
-   client (retry, stale-pool detection, failover, deadlines), the
-   chaos probes, connection capacity past the FD_SETSIZE ceiling, and
-   a loadgen smoke run. *)
+(* Network-layer tests: endpoint parsing, the readiness engine (and
+   its agreement with the select oracle), line-framing fuzz against a
+   live server, the resilient client (retry, stale-pool detection,
+   failover, deadlines), the chaos probes, connection capacity past
+   the FD_SETSIZE ceiling, and a loadgen smoke run. *)
 
 module Json = Argus_core.Json
 module Prng = Argus_core.Prng
@@ -92,87 +92,72 @@ let test_endpoint_connect_refused () =
 
 (* --- Readiness --- *)
 
-let backends () =
-  if Readiness.poll_available () then [ Readiness.Poll; Readiness.Select ]
-  else [ Readiness.Select ]
-
 let test_readiness_basic () =
-  List.iter
-    (fun backend ->
-      let e = Readiness.create ~backend () in
-      let r, w = Unix.pipe () in
-      let r2, w2 = Unix.pipe () in
-      Readiness.add e r;
-      Readiness.add e r2;
-      Readiness.add e r2;
-      (* duplicate add is a no-op *)
-      Alcotest.(check int) "two registered" 2 (Readiness.registered e);
-      Alcotest.(check bool) "mem" true (Readiness.mem e r);
-      (* Nothing readable: timeout comes back empty. *)
-      Alcotest.(check int)
-        "timeout is empty" 0
-        (List.length (Readiness.wait e ~timeout_ms:10.));
-      ignore (Unix.write_substring w "x" 0 1);
-      let ready = Readiness.wait e ~timeout_ms:1000. in
-      Alcotest.(check bool) "r is ready" true (List.mem r ready);
-      Alcotest.(check bool) "r2 is not" false (List.mem r2 ready);
-      (* EOF counts as readable: the owner must be woken to reap. *)
-      ignore (Unix.write_substring w2 "y" 0 1);
-      Unix.close w2;
-      let b = Bytes.create 8 in
-      ignore (Unix.read r2 b 0 8);
-      let ready2 = Readiness.wait e ~timeout_ms:1000. in
-      Alcotest.(check bool) "hup is readable" true (List.mem r2 ready2);
-      Readiness.remove e r;
-      Readiness.remove e r;
-      Alcotest.(check int) "one left" 1 (Readiness.registered e);
-      Alcotest.(check bool) "removed" false (Readiness.mem e r);
-      List.iter Unix.close [ r; w; r2 ])
-    (backends ())
+  let e = Readiness.create () in
+  let r, w = Unix.pipe () in
+  let r2, w2 = Unix.pipe () in
+  Readiness.add e r;
+  Readiness.add e r2;
+  Readiness.add e r2;
+  (* duplicate add is a no-op *)
+  Alcotest.(check int) "two registered" 2 (Readiness.registered e);
+  Alcotest.(check bool) "mem" true (Readiness.mem e r);
+  (* Nothing readable: timeout comes back empty. *)
+  Alcotest.(check int)
+    "timeout is empty" 0
+    (List.length (Readiness.wait e ~timeout_ms:10.));
+  ignore (Unix.write_substring w "x" 0 1);
+  let ready = Readiness.wait e ~timeout_ms:1000. in
+  Alcotest.(check bool) "r is ready" true (List.mem r ready);
+  Alcotest.(check bool) "r2 is not" false (List.mem r2 ready);
+  (* EOF counts as readable: the owner must be woken to reap. *)
+  ignore (Unix.write_substring w2 "y" 0 1);
+  Unix.close w2;
+  let b = Bytes.create 8 in
+  ignore (Unix.read r2 b 0 8);
+  let ready2 = Readiness.wait e ~timeout_ms:1000. in
+  Alcotest.(check bool) "hup is readable" true (List.mem r2 ready2);
+  Readiness.remove e r;
+  Readiness.remove e r;
+  Alcotest.(check int) "one left" 1 (Readiness.registered e);
+  Alcotest.(check bool) "removed" false (Readiness.mem e r);
+  List.iter Unix.close [ r; w; r2 ]
 
-(* The two backends must agree on which descriptors are ready. *)
+(* The poll engine and the select oracle must agree on which
+   descriptors are ready. *)
 let test_readiness_differential () =
-  if not (Readiness.poll_available ()) then ()
-  else begin
-    let rng = Prng.create 7 in
-    let n = 16 in
-    let pipes = Array.init n (fun _ -> Unix.pipe ()) in
-    let poll = Readiness.create ~backend:Readiness.Poll () in
-    let sel = Readiness.create ~backend:Readiness.Select () in
-    Array.iter
-      (fun (r, _) ->
-        Readiness.add poll r;
-        Readiness.add sel r)
-      pipes;
-    for _ = 1 to 20 do
-      (* Make a random subset readable... *)
-      let armed =
-        Array.to_list pipes
-        |> List.filter (fun (_, w) ->
-               if Prng.bernoulli rng 0.4 then begin
-                 ignore (Unix.write_substring w "z" 0 1);
-                 true
-               end
-               else false)
-        |> List.map fst
-      in
-      let sort = List.sort compare in
-      let from_poll = sort (Readiness.wait poll ~timeout_ms:50.) in
-      let from_sel = sort (Readiness.wait sel ~timeout_ms:50.) in
-      Alcotest.(check bool) "backends agree" true (from_poll = from_sel);
-      Alcotest.(check bool)
-        "exactly the armed set" true
-        (from_poll = sort armed);
-      (* ...then drain it for the next round. *)
-      let b = Bytes.create 8 in
-      List.iter (fun r -> ignore (Unix.read r b 0 8)) armed
-    done;
-    Array.iter
-      (fun (r, w) ->
-        Unix.close r;
-        Unix.close w)
-      pipes
-  end
+  let rng = Prng.create 7 in
+  let n = 16 in
+  let pipes = Array.init n (fun _ -> Unix.pipe ()) in
+  let poll = Readiness.create () in
+  Array.iter (fun (r, _) -> Readiness.add poll r) pipes;
+  let fds = Array.to_list (Array.map fst pipes) in
+  for _ = 1 to 20 do
+    (* Make a random subset readable... *)
+    let armed =
+      Array.to_list pipes
+      |> List.filter (fun (_, w) ->
+             if Prng.bernoulli rng 0.4 then begin
+               ignore (Unix.write_substring w "z" 0 1);
+               true
+             end
+             else false)
+      |> List.map fst
+    in
+    let sort = List.sort compare in
+    let from_poll = sort (Readiness.wait poll ~timeout_ms:50.) in
+    let from_sel = sort (Oracle.Readiness.wait fds ~timeout_ms:50.) in
+    Alcotest.(check bool) "poll agrees with select" true (from_poll = from_sel);
+    Alcotest.(check bool) "exactly the armed set" true (from_poll = sort armed);
+    (* ...then drain it for the next round. *)
+    let b = Bytes.create 8 in
+    List.iter (fun r -> ignore (Unix.read r b 0 8)) armed
+  done;
+  Array.iter
+    (fun (r, w) ->
+      Unix.close r;
+      Unix.close w)
+    pipes
 
 let test_readiness_nofile_raise () =
   let got = Readiness.nofile_raise 4096 in
@@ -634,14 +619,13 @@ let rec served_conn ?(attempts = 15) port fd i =
 
 (* More than 512 simultaneous TCP connections, every one of them
    serviced: the acceptance bar for dropping the FD_SETSIZE ceiling.
-   Needs the poll backend and headroom in RLIMIT_NOFILE. *)
+   Needs headroom in RLIMIT_NOFILE. *)
 let test_over_512_conns () =
   let want = 560 in
   let limit = Readiness.nofile_raise 4096 in
   (* Server and harness share the process: each held connection costs
      two descriptors. *)
-  if not (Readiness.poll_available ()) then Alcotest.skip ()
-  else if limit < (2 * want) + 128 then Alcotest.skip ()
+  if limit < (2 * want) + 128 then Alcotest.skip ()
   else
     with_tcp_server ~jobs:2 @@ fun _h port ->
     let conns = ref [] in
@@ -670,8 +654,7 @@ let test_over_512_conns () =
 let test_accept_o1_amortized_1k () =
   let total = 1000 in
   let limit = Readiness.nofile_raise 4096 in
-  if not (Readiness.poll_available ()) then Alcotest.skip ()
-  else if limit < (2 * total) + 128 then Alcotest.skip ()
+  if limit < (2 * total) + 128 then Alcotest.skip ()
   else
     with_tcp_server ~jobs:2 @@ fun _h port ->
     let conns = ref [] in
@@ -734,7 +717,7 @@ let () =
         ] );
       ( "readiness",
         [
-          Alcotest.test_case "add/remove/wait on both backends" `Quick
+          Alcotest.test_case "add/remove/wait" `Quick
             test_readiness_basic;
           Alcotest.test_case "poll and select agree" `Quick
             test_readiness_differential;
